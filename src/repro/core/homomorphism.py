@@ -21,12 +21,13 @@ cost once.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Collection, Hashable, Iterator, Mapping, Sequence
 
 from .instance import Fact, Instance, MarkedInstance
 
 Element = Hashable
 PartialMap = Mapping[Element, Element]
+Domains = Mapping[Element, Collection[Element]]
 
 
 class HomomorphismSearch:
@@ -37,6 +38,9 @@ class HomomorphismSearch:
     element, the facts it occurs in (the incidence list driving propagation).
     Each :meth:`solve` / :meth:`all` call then starts from the base sets,
     which is what makes re-solving under different ``fixed`` maps cheap.
+    ``domains`` narrows a query further: it maps source elements to the
+    target elements they may take, and elements it omits keep their base
+    candidates.
     """
 
     def __init__(self, source: Instance, target: Instance) -> None:
@@ -70,6 +74,13 @@ class HomomorphismSearch:
                     base[element] &= target.position_values(relation, position)
                     if not base[element]:
                         self._unsatisfiable = True
+            # A value without support under the base sets has none under any
+            # narrowing of them, so the base is made arc consistent once here
+            # and each query re-propagates only from the elements it narrows.
+            if not self._unsatisfiable and not self._propagate(
+                base, deque(range(len(self._facts)))
+            ):
+                self._unsatisfiable = True
             self._base = {element: frozenset(cands) for element, cands in base.items()}
 
     # -- propagation -----------------------------------------------------------
@@ -137,18 +148,27 @@ class HomomorphismSearch:
 
     # -- search ----------------------------------------------------------------
 
-    def _initial_candidates(self, fixed: PartialMap) -> dict[Element, set] | None:
+    def _initial_candidates(
+        self, fixed: PartialMap, domains: Domains
+    ) -> tuple[dict[Element, set], deque[int]] | None:
+        """The base sets narrowed by ``fixed`` and ``domains``, and the facts
+        incident to the narrowed elements (the propagation queue)."""
         candidates: dict[Element, set] = {}
+        queue: dict[int, None] = {}
         for element, base in self._base.items():
             if element in fixed:
                 image = fixed[element]
                 narrowed = {image} if image in base else set()
             else:
                 narrowed = set(base)
+            if element in domains:
+                narrowed.intersection_update(domains[element])
             if not narrowed:
                 return None
+            if len(narrowed) < len(base):
+                queue.update(dict.fromkeys(self._incidence[element]))
             candidates[element] = narrowed
-        return candidates
+        return candidates, deque(queue)
 
     def _search(
         self, candidates: dict[Element, set], queue: deque[int], find_all: bool
@@ -170,8 +190,10 @@ class HomomorphismSearch:
                 if not find_all:
                     return
 
-    def all(self, fixed: PartialMap | None = None) -> Iterator[dict[Element, Element]]:
-        """Enumerate all homomorphisms extending ``fixed``."""
+    def all(
+        self, fixed: PartialMap | None = None, domains: Domains | None = None
+    ) -> Iterator[dict[Element, Element]]:
+        """Enumerate all homomorphisms extending ``fixed`` within ``domains``."""
         # _unsatisfiable must win over the empty-domain shortcut: a source
         # with only nullary facts has an empty active domain, yet the empty
         # map is a homomorphism only when those facts hold in the target.
@@ -180,28 +202,30 @@ class HomomorphismSearch:
         if not self.source.active_domain:
             yield {}
             return
-        candidates = self._initial_candidates(dict(fixed or {}))
-        if candidates is None:
+        start = self._initial_candidates(dict(fixed or {}), domains or {})
+        if start is None:
             return
-        yield from self._search(candidates, deque(range(len(self._facts))), True)
+        yield from self._search(*start, True)
 
-    def solve(self, fixed: PartialMap | None = None) -> dict[Element, Element] | None:
-        """One homomorphism extending ``fixed``, or None."""
+    def solve(
+        self, fixed: PartialMap | None = None, domains: Domains | None = None
+    ) -> dict[Element, Element] | None:
+        """One homomorphism extending ``fixed`` within ``domains``, or None."""
         if self._unsatisfiable:
             return None
         if not self.source.active_domain:
             return {}
-        candidates = self._initial_candidates(dict(fixed or {}))
-        if candidates is None:
+        start = self._initial_candidates(dict(fixed or {}), domains or {})
+        if start is None:
             return None
-        for result in self._search(
-            candidates, deque(range(len(self._facts))), False
-        ):
+        for result in self._search(*start, False):
             return result
         return None
 
-    def exists(self, fixed: PartialMap | None = None) -> bool:
-        return self.solve(fixed) is not None
+    def exists(
+        self, fixed: PartialMap | None = None, domains: Domains | None = None
+    ) -> bool:
+        return self.solve(fixed, domains) is not None
 
 
 def homomorphisms(

@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 from typing import Hashable, Iterable, Iterator, Sequence
 
+from ..core.homomorphism import HomomorphismSearch
 from ..core.instance import Fact, Instance
-from ..core.schema import RelationSymbol
+from ..core.schema import RelationSymbol, Schema
 from .concepts import (
     And,
     Bottom,
@@ -38,6 +39,10 @@ from .ontology import Ontology
 
 Element = Hashable
 Type = frozenset  # frozenset of closure concepts that are true
+
+#: Unary relation holding at every data element and every template type, so
+#: that elements and types without other facts still take part in a search.
+_DOMAIN = RelationSymbol("__type_domain", 1)
 
 
 class UnsupportedOntologyError(ValueError):
@@ -60,6 +65,14 @@ def _check_supported(ontology: Ontology) -> None:
             "functional roles are not supported by type elimination; use the "
             "bounded-model engine in repro.omq.bounded"
         )
+
+
+def _bitset(ids: Iterable[int], size: int) -> int:
+    """The int with exactly the bits ``ids`` set (``size`` bounds them)."""
+    digits = bytearray(b"0" * size)
+    for i in ids:
+        digits[size - 1 - i] = ord("1")
+    return int(digits, 2)
 
 
 def negation_closure(concepts: Iterable[Concept]) -> frozenset[Concept]:
@@ -86,6 +99,11 @@ class TypeSystem:
     names and existential restrictions.  Universal restrictions are derived via
     their existential duals, which keeps types semantically coherent by
     construction (``∀R.C`` is true exactly when ``∃R.¬C`` is false).
+
+    :meth:`all_types` is enumerated once; a type's position in it is its dense
+    id (:meth:`type_id`).  Edge compatibility is kept as one int bitset row
+    per source type and role (:meth:`compatibility_rows`), built on first use
+    from the closure's ∀/∃ constraints, so :meth:`compatible` is one bit read.
     """
 
     def __init__(self, ontology: Ontology, extra_concepts: Iterable[Concept] = ()):
@@ -114,6 +132,10 @@ class TypeSystem:
         self.u_existentials = [
             c for c in self.existential_decisions if c.role.is_universal()
         ]
+        self._types: list[Type] | None = None
+        self._ids: dict[Type, int] = {}
+        self._members: dict[Concept, int] = {}
+        self._rows: dict[Role, list[int]] = {}
 
     # -- truth derivation ------------------------------------------------------------
 
@@ -154,72 +176,148 @@ class TypeSystem:
         return members
 
     def all_types(self) -> list[Type]:
-        """All locally consistent types (axioms respected)."""
-        decisions = list(self.concept_name_decisions) + list(
-            self.existential_decisions
-        )
-        if len(decisions) > 18:
-            raise UnsupportedOntologyError(
-                f"closure too large for exhaustive type enumeration "
-                f"({len(decisions)} decision concepts)"
+        """All locally consistent types (axioms respected), in id order."""
+        if self._types is None:
+            decisions = list(self.concept_name_decisions) + list(
+                self.existential_decisions
             )
-        types: list[Type] = []
-        for bits in itertools.product((False, True), repeat=len(decisions)):
-            true_decisions = frozenset(
-                d for d, bit in zip(decisions, bits) if bit
-            )
-            candidate = self.type_from_decisions(true_decisions)
-            if candidate is not None:
-                types.append(candidate)
-        return types
+            if len(decisions) > 18:
+                raise UnsupportedOntologyError(
+                    f"closure too large for exhaustive type enumeration "
+                    f"({len(decisions)} decision concepts)"
+                )
+            types: list[Type] = []
+            for bits in itertools.product((False, True), repeat=len(decisions)):
+                true_decisions = frozenset(
+                    d for d, bit in zip(decisions, bits) if bit
+                )
+                candidate = self.type_from_decisions(true_decisions)
+                if candidate is not None:
+                    types.append(candidate)
+            self._types = types
+            self._ids = {t: i for i, t in enumerate(types)}
+            holders: dict[Concept, list[int]] = {}
+            for i, t in enumerate(types):
+                for concept in t:
+                    holders.setdefault(concept, []).append(i)
+            self._members = {
+                concept: _bitset(ids, len(types)) for concept, ids in holders.items()
+            }
+        return list(self._types)
+
+    def type_id(self, type_: Type) -> int:
+        """The dense id of a type: its position in :meth:`all_types`."""
+        if self._types is None:
+            self.all_types()
+        return self._ids[type_]
 
     # -- edge compatibility -------------------------------------------------------------
 
     def super_roles(self, role: Role) -> frozenset[Role]:
         return self.ontology.super_roles(role)
 
+    def compatibility_rows(self, base_role: Role) -> list[int]:
+        """Per source type id, the bitset of the target type ids that may label
+        an R-successor of it (R = ``base_role``): ``rows[s] >> t & 1``.
+
+        The successor inherits value restrictions along all super-roles of
+        ``base_role`` (and the universal role) and must not witness existential
+        restrictions that the source type declares false (types are
+        semantically exact).
+        """
+        rows = self._rows.get(base_role)
+        if rows is None:
+            types = self.all_types()
+            supers = self.super_roles(base_role)
+            members = self._members
+            # (restriction, types satisfying its filler) per relevant ∀ / ∃
+            foralls = [
+                (c, members.get(c.filler.nnf(), 0))
+                for c in self.closure
+                if isinstance(c, Forall) and (c.role in supers or c.role.is_universal())
+            ]
+            exists = [
+                (c, members.get(c.filler.nnf(), 0))
+                for c in self.closure
+                if isinstance(c, Exists) and c.role in supers
+            ]
+            everything = (1 << len(types)) - 1
+            rows = []
+            for source in types:
+                row = everything
+                for concept, fillers in foralls:
+                    if concept in source:
+                        row &= fillers
+                for concept, fillers in exists:
+                    if concept not in source:
+                        row &= ~fillers
+                rows.append(row)
+            self._rows[base_role] = rows
+        return rows
+
     def compatible(self, source: Type, target: Type, base_role: Role) -> bool:
         """May ``target`` label an R-successor of ``source`` (R = ``base_role``)?
 
-        The successor inherits value restrictions along all super-roles of
-        ``base_role`` and must not witness existential restrictions that the
-        source type declares false (types are semantically exact).
+        One bit of :meth:`compatibility_rows`; both types must come from
+        :meth:`all_types`.
         """
-        supers = self.super_roles(base_role)
-        for concept in self.closure:
-            if (
-                isinstance(concept, Forall)
-                and concept in source
-                and (concept.role in supers or concept.role.is_universal())
-                and concept.filler.nnf() not in target
-            ):
-                return False
-            if (
-                isinstance(concept, Exists)
-                and concept not in source
-                and concept.role in supers
-                and concept.filler.nnf() in target
-            ):
-                return False
-        return True
+        rows = self.compatibility_rows(base_role)
+        return bool(rows[self._ids[source]] >> self._ids[target] & 1)
 
-    def u_compatible(self, first: Type, second: Type) -> bool:
-        """Types co-existing in one model must agree on universal-role concepts
-        and must not realise a concept whose ``∃U`` the other declares false."""
-        for concept in self.u_existentials:
-            if (concept in first) != (concept in second):
-                return False
-            if concept not in first and concept.filler.nnf() in second:
-                return False
-            if concept not in second and concept.filler.nnf() in first:
-                return False
-        for concept in self.closure:
-            if isinstance(concept, Forall) and concept.role.is_universal():
-                if concept in first and concept.filler.nnf() not in second:
-                    return False
-                if concept in second and concept.filler.nnf() not in first:
-                    return False
-        return True
+    # -- the Theorem 4.6 type template ----------------------------------------------------
+
+    def type_template(
+        self,
+        types: Sequence[Type],
+        schema: Schema,
+        domain: RelationSymbol | None = None,
+    ) -> Instance:
+        """The template ``B_T`` over ``types`` for ``schema`` (proof of Theorem 4.6).
+
+        Its elements are the types: a unary symbol holds at the types that
+        contain the concept name, a binary symbol at the pairs that may label
+        the endpoints of such an edge, and ``domain`` at every type.  Without
+        ``domain`` a type carrying no fact is no element, which is harmless
+        for data whose every element occurs in a fact.
+        """
+        ids = [self.type_id(t) for t in types]
+        facts: list[Fact] = []
+        for symbol in schema:
+            if symbol == domain:
+                facts.extend(Fact(symbol, (t,)) for t in types)
+            elif symbol.arity == 1:
+                name = ConceptName(symbol.name)
+                facts.extend(Fact(symbol, (t,)) for t in types if name in t)
+            elif symbol.arity == 2:
+                rows = self.compatibility_rows(Role(symbol.name))
+                facts.extend(
+                    Fact(symbol, (source, target))
+                    for source, row in zip(types, (rows[i] for i in ids))
+                    for target, j in zip(types, ids)
+                    if row >> j & 1
+                )
+        return Instance(facts, schema=schema)
+
+    def assignment_search(
+        self, instance: Instance, types: Sequence[Type]
+    ) -> HomomorphismSearch:
+        """One reusable search for labellings of ``instance`` with ``types``.
+
+        The source is the data: every element, its asserted closure concept
+        names and its role edges; the target is :meth:`type_template` over
+        ``types``.  A homomorphism is exactly a labelling that respects the
+        asserted concepts and puts compatible types on every edge.  Queries
+        narrow it with ``solve(domains=...)`` / ``all(domains=...)``.
+        """
+        facts = [Fact(_DOMAIN, (e,)) for e in instance.active_domain]
+        for fact in instance:
+            arity = fact.relation.arity
+            if arity == 2 or (
+                arity == 1 and ConceptName(fact.relation.name) in self.closure
+            ):
+                facts.append(fact)
+        data = Instance(facts)
+        return HomomorphismSearch(data, self.type_template(types, data.schema, _DOMAIN))
 
     # -- good types (tree realisability) ---------------------------------------------------
 
@@ -322,14 +420,12 @@ def ontology_consistent(ontology: Ontology) -> bool:
 class AboxTypeAssignment:
     """Search for assignments of good types to the elements of an instance.
 
-    The search is phrased as a homomorphism problem into a *type template*
-    whose elements are the good types, whose unary relations record concept
-    membership and whose binary relations record role compatibility — exactly
-    the template construction behind Theorem 4.6 — and is solved with the
-    arc-consistency-based homomorphism solver of :mod:`repro.core`.
+    Each globally coherent family of good types gets one reusable
+    :meth:`TypeSystem.assignment_search`: a homomorphism from the data into the
+    family's Theorem 4.6 type template, solved with the arc-consistency-based
+    search of :mod:`repro.core.homomorphism`.  Forced and forbidden concepts
+    narrow a query through the search's ``domains``.
     """
-
-    _ADOM = RelationSymbol("__abox_adom", 1)
 
     def __init__(
         self,
@@ -345,73 +441,27 @@ class AboxTypeAssignment:
             for symbol in instance.schema.concept_names
         )
         self.system = TypeSystem(ontology, extra_concepts=extra)
-        self._elements = sorted(instance.active_domain, key=repr)
-        self._concept_facts: dict[Element, set[ConceptName]] = {
-            e: set() for e in self._elements
-        }
-        self._role_facts: list[tuple[Element, Element, Role]] = []
-        for fact in instance:
-            if fact.relation.arity == 1:
-                name = ConceptName(fact.relation.name)
-                if name in self.system.closure:
-                    self._concept_facts[fact.arguments[0]].add(name)
-            elif fact.relation.arity == 2:
-                self._role_facts.append(
-                    (fact.arguments[0], fact.arguments[1], Role(fact.relation.name))
-                )
-        self._role_names = sorted({role.name for _s, _t, role in self._role_facts})
-        self._families = list(self.system.globally_coherent_families())
-        self._base_template_facts = [
-            list(self._template_for(family).facts) for family in self._families
+        self._searches = [
+            (family, self.system.assignment_search(instance, family))
+            for family in self.system.globally_coherent_families()
+            if family
         ]
 
-    # -- template construction -----------------------------------------------------------
-
-    def _template_for(self, family: Sequence[Type]) -> Instance:
-        facts = [Fact(self._ADOM, (t,)) for t in family]
-        concept_names = sorted(
-            {c for c in self.system.closure if isinstance(c, ConceptName)},
-            key=str,
-        )
-        for name in concept_names:
-            symbol = RelationSymbol(name.name, 1)
-            facts.extend(Fact(symbol, (t,)) for t in family if name in t)
-        for role_name in self._role_names:
-            symbol = RelationSymbol(role_name, 2)
-            role = Role(role_name)
-            for source in family:
-                for target in family:
-                    if self.system.compatible(source, target, role):
-                        facts.append(Fact(symbol, (source, target)))
-        return Instance(facts)
-
-    def _data_for(
-        self,
-        forced: dict[Element, list[Concept]],
-        forbidden: dict[Element, list[Concept]],
-        family: Sequence[Type],
-        template_facts: list[Fact],
-    ) -> Instance:
-        facts = [Fact(self._ADOM, (e,)) for e in self._elements]
-        for element, names in self._concept_facts.items():
-            facts.extend(Fact(RelationSymbol(n.name, 1), (element,)) for n in names)
-        for source, target, role in self._role_facts:
-            facts.append(Fact(RelationSymbol(role.name, 2), (source, target)))
-        for index, (element, concepts_) in enumerate(sorted(forced.items(), key=repr)):
-            for concept_index, concept_ in enumerate(concepts_):
-                symbol = RelationSymbol(f"__forced_{index}_{concept_index}", 1)
-                facts.append(Fact(symbol, (element,)))
-                template_facts.extend(
-                    Fact(symbol, (t,)) for t in family if concept_ in t
-                )
-        for index, (element, concepts_) in enumerate(sorted(forbidden.items(), key=repr)):
-            for concept_index, concept_ in enumerate(concepts_):
-                symbol = RelationSymbol(f"__forbidden_{index}_{concept_index}", 1)
-                facts.append(Fact(symbol, (element,)))
-                template_facts.extend(
-                    Fact(symbol, (t,)) for t in family if concept_ not in t
-                )
-        return Instance(facts)
+    def _queries(self, forced, forbidden) -> Iterator[tuple[HomomorphismSearch, dict]]:
+        """Each family's search with the domains ``forced``/``forbidden`` leave."""
+        forced = {k: [c.nnf() for c in v] for k, v in (forced or {}).items()}
+        forbidden = {k: [c.nnf() for c in v] for k, v in (forbidden or {}).items()}
+        for family, search in self._searches:
+            domains = {
+                element: [
+                    t
+                    for t in family
+                    if all(c in t for c in forced.get(element, ()))
+                    and not any(c in t for c in forbidden.get(element, ()))
+                ]
+                for element in forced.keys() | forbidden.keys()
+            }
+            yield search, domains
 
     # -- public API ------------------------------------------------------------------------
 
@@ -425,32 +475,14 @@ class AboxTypeAssignment:
         ``forced[e]`` lists closure concepts that must be *true* at ``e``;
         ``forbidden[e]`` lists closure concepts that must be *false* at ``e``.
         """
-        from ..core.homomorphism import homomorphisms
-
-        forced = {k: [c.nnf() for c in v] for k, v in (forced or {}).items()}
-        forbidden = {k: [c.nnf() for c in v] for k, v in (forbidden or {}).items()}
-        for family, base_facts in zip(self._families, self._base_template_facts):
-            if not family:
-                continue
-            template_facts = list(base_facts)
-            data = self._data_for(forced, forbidden, family, template_facts)
-            template = Instance(template_facts)
-            for hom in homomorphisms(data, template):
-                yield {element: hom[element] for element in self._elements}
+        for search, domains in self._queries(forced, forbidden):
+            yield from search.all(domains=domains)
 
     def exists(self, forced=None, forbidden=None) -> bool:
-        from ..core.homomorphism import has_homomorphism
-
-        forced = {k: [c.nnf() for c in v] for k, v in (forced or {}).items()}
-        forbidden = {k: [c.nnf() for c in v] for k, v in (forbidden or {}).items()}
-        for family, base_facts in zip(self._families, self._base_template_facts):
-            if not family:
-                continue
-            template_facts = list(base_facts)
-            data = self._data_for(forced, forbidden, family, template_facts)
-            if has_homomorphism(data, Instance(template_facts)):
-                return True
-        return False
+        return any(
+            search.exists(domains=domains)
+            for search, domains in self._queries(forced, forbidden)
+        )
 
 
 def instance_consistent(instance: Instance, ontology: Ontology) -> bool:

@@ -17,11 +17,16 @@ sessions' routing.  When the OMQ has no complete MDDlog translation
 (functional / transitive / universal roles), ``planned`` falls back to the
 ``auto`` selection.
 
-All three procedures bottom out in the shared evaluation engine: the atomic
-and forest engines reduce to the indexed homomorphism search of
-:mod:`repro.core.homomorphism`, and the bounded engine grounds into the
-incremental CDCL solver of :mod:`repro.engine.sat` (one persistent solver
-per candidate domain, one assumption query per candidate answer).
+All three procedures bottom out in the shared evaluation engine.  The atomic
+and forest engines build one indexed homomorphism search
+(:mod:`repro.core.homomorphism`) per instance, from the data into the Theorem
+4.6 type template (:meth:`repro.dl.reasoner.TypeSystem.assignment_search`),
+and re-solve it with ``domains`` narrowed per query: the atomic engine to the
+types avoiding the query concept at the candidate answer, the forest engine
+to the types whose labels show one non-matching combination of observables.
+The bounded engine grounds into the incremental CDCL solver of
+:mod:`repro.engine.sat` (one persistent solver per candidate domain, one
+assumption query per candidate answer).
 """
 
 from __future__ import annotations

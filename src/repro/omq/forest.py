@@ -108,7 +108,6 @@ class _PieceBuilder:
     def __init__(self, disjunct: ConjunctiveQuery, core: frozenset[Variable]):
         self.disjunct = disjunct
         self.core = core
-        self.valid = True
 
     def build(self) -> tuple[list[tuple[Variable, BelowRequirement]], list[AnywhereRequirement]] | None:
         non_core = {
@@ -298,12 +297,7 @@ class _PieceBuilder:
         tree = build_tree(roots[0], frozenset())
         if tree is None:
             return None
-        reachable = set(tree_nodes_count(tree))
         return None, [], [AnywhereRequirement(tree)]
-
-
-def tree_nodes_count(tree: RootedTree) -> list[RootedTree]:
-    return list(tree.subtrees())
 
 
 def enumerate_splits(disjunct: ConjunctiveQuery) -> list[QuerySplit]:
@@ -422,10 +416,10 @@ class ForestAbstraction:
         )
 
     def _child_contribution(
-        self, base_role: Role, child_type: frozenset, child_reqs: frozenset
+        self, supers: frozenset[str], child_type: frozenset, child_reqs: frozenset
     ) -> frozenset:
-        """Requirements that attaching this child makes true at the parent."""
-        supers = self._super_role_names(base_role)
+        """Requirements that attaching this child by an edge carrying the role
+        names ``supers`` makes true at the parent."""
         result = set()
         for requirement in self.requirements:
             if isinstance(requirement, BelowRequirement):
@@ -489,20 +483,20 @@ class ForestAbstraction:
             if isinstance(c, Exists) and not c.role.is_universal()
         ]
         # Per existential: the distinct minimal contributions of candidate witnesses.
+        system = self.system
+        node_id = system.type_id(node_type)
         per_existential: list[list[frozenset]] = []
         for existential in existentials:
             contributions: set[frozenset] = set()
             filler = existential.filler.nnf()
+            row = system.compatibility_rows(existential.role)[node_id]
+            supers = self._super_role_names(existential.role)
             for witness_type, witness_sets in current.items():
-                if filler not in witness_type:
-                    continue
-                if not self.system.compatible(node_type, witness_type, existential.role):
+                if filler not in witness_type or not row >> system.type_id(witness_type) & 1:
                     continue
                 for witness_reqs in witness_sets:
                     contributions.add(
-                        self._child_contribution(
-                            existential.role, witness_type, witness_reqs
-                        )
+                        self._child_contribution(supers, witness_type, witness_reqs)
                     )
             if not contributions:
                 return []
@@ -573,8 +567,11 @@ class ForestEngine:
     on its *observable*: which query concept names its type contains and which
     tree requirements its attached tree satisfies.  The engine therefore
     enumerates observable combinations (few) rather than full labellings
-    (many) and falls back to a labelling search only to decide whether a
-    non-matching observable combination is actually realisable.
+    (many).  Edge compatibility depends on the labels' types alone, so whether
+    a non-matching combination is realisable is one query to the instance's
+    reusable labelling search over the label types
+    (:meth:`repro.dl.reasoner.TypeSystem.assignment_search`), narrowed by
+    ``domains`` to the types whose labels show each element's observable.
     """
 
     def __init__(self, omq: OntologyMediatedQuery):
@@ -586,6 +583,9 @@ class ForestEngine:
             name
             for name in _query_concept_names(self.ucq)
             if ConceptName(name) in self.system.closure
+        )
+        self._label_types = list(
+            dict.fromkeys(t for t, _reqs in self.abstraction.labelled_types())
         )
 
     def _observable(self, label: tuple[frozenset, frozenset]) -> tuple[frozenset, frozenset]:
@@ -620,9 +620,9 @@ class ForestEngine:
                     if not r.is_universal()
                 )
             closed_roles[pair] = closed
-        return concept_facts, role_facts, closed_roles
+        return concept_facts, closed_roles
 
-    # -- labelling search --------------------------------------------------------------
+    # -- candidate labels ---------------------------------------------------------------
 
     def _candidate_labels(
         self, element: Element, concept_facts: dict[Element, set[str]]
@@ -637,63 +637,6 @@ class ForestEngine:
             if asserted <= node_type:
                 labels.append((node_type, requirement_set))
         return labels
-
-    def _labellings(self, instance: Instance) -> Iterator[dict[Element, tuple[frozenset, frozenset]]]:
-        """All forest labellings of the data consistent with ontology and facts."""
-        concept_facts, role_facts, _closed = self._data_views(instance)
-        elements = sorted(instance.active_domain, key=repr)
-        candidates = {
-            element: self._candidate_labels(element, concept_facts)
-            for element in elements
-        }
-        if any(not candidate for candidate in candidates.values()):
-            return
-        edges = [
-            (source, target, Role(name))
-            for (source, target), names in role_facts.items()
-            for name in names
-        ]
-        assignment: dict[Element, tuple[frozenset, frozenset]] = {}
-
-        def consistent(element: Element, label: tuple[frozenset, frozenset]) -> bool:
-            node_type = label[0]
-            for source, target, role in edges:
-                if (
-                    source == element
-                    and target in assignment
-                    and not self.system.compatible(
-                        node_type, assignment[target][0], role
-                    )
-                ):
-                    return False
-                if (
-                    target == element
-                    and source in assignment
-                    and not self.system.compatible(
-                        assignment[source][0], node_type, role
-                    )
-                ):
-                    return False
-                if (
-                    source == element
-                    and target == element
-                    and not self.system.compatible(node_type, node_type, role)
-                ):
-                    return False
-            return True
-
-        def search(index: int) -> Iterator[dict[Element, tuple[frozenset, frozenset]]]:
-            if index == len(elements):
-                yield dict(assignment)
-                return
-            element = elements[index]
-            for label in candidates[element]:
-                if consistent(element, label):
-                    assignment[element] = label
-                    yield from search(index + 1)
-                    del assignment[element]
-
-        yield from search(0)
 
     # -- query matching over observables ------------------------------------------------
 
@@ -764,101 +707,38 @@ class ForestEngine:
     # -- achievability of observable combinations ----------------------------------------
 
     def _instance_views(self, instance: Instance):
-        """Per-instance candidate labels, observables, and fact indexes."""
-        concept_facts, role_facts, closed_roles = self._data_views(instance)
+        """Per-instance observables, fact indexes, and the labelling search."""
+        concept_facts, closed_roles = self._data_views(instance)
         elements = sorted(instance.active_domain, key=repr)
-        candidates = {
-            element: self._candidate_labels(element, concept_facts)
-            for element in elements
-        }
-        by_observable: dict[Element, dict[tuple, list]] = {}
+        # Per element and observable: the types of the candidate labels
+        # showing it, the element's search domain for that observable.
+        by_observable: dict[Element, dict[tuple, set]] = {}
         for element in elements:
-            groups: dict[tuple, list] = {}
-            for label in candidates[element]:
-                groups.setdefault(self._observable(label), []).append(label)
+            groups: dict[tuple, set] = {}
+            for label in self._candidate_labels(element, concept_facts):
+                groups.setdefault(self._observable(label), set()).add(label[0])
             by_observable[element] = groups
-        edges = [
-            (source, target, Role(name))
-            for (source, target), names in role_facts.items()
-            for name in names
-        ]
         return {
             "elements": elements,
             "concept_facts": concept_facts,
             "closed_roles": closed_roles,
-            "candidates": candidates,
             "by_observable": by_observable,
-            "edges": edges,
+            "search": self.system.assignment_search(instance, self._label_types),
         }
 
-    def _achievable(self, views, observable_assignment: dict[Element, tuple]) -> bool:
+    def _achievable(self, views, observables: dict[Element, tuple]) -> bool:
         """Is there a consistent labelling realising the given observables?"""
-        elements = views["elements"]
-        edges = views["edges"]
-        pools = []
-        for element in elements:
-            pool = views["by_observable"][element].get(observable_assignment[element])
-            if not pool:
-                return False
-            pools.append(pool)
-        assignment: dict[Element, tuple] = {}
-
-        def consistent(element: Element, label) -> bool:
-            node_type = label[0]
-            for source, target, role in edges:
-                if (
-                    source == element
-                    and target in assignment
-                    and not self.system.compatible(
-                        node_type, assignment[target][0], role
-                    )
-                ):
-                    return False
-                if (
-                    target == element
-                    and source in assignment
-                    and not self.system.compatible(
-                        assignment[source][0], node_type, role
-                    )
-                ):
-                    return False
-                if (
-                    source == element
-                    and target == element
-                    and not self.system.compatible(node_type, node_type, role)
-                ):
-                    return False
-            return True
-
-        def search(index: int) -> bool:
-            if index == len(elements):
-                return True
-            element = elements[index]
-            for label in pools[index]:
-                if consistent(element, label):
-                    assignment[element] = label
-                    if search(index + 1):
-                        return True
-                    del assignment[element]
-            return False
-
-        return search(0)
+        domains = {
+            element: views["by_observable"][element][observable]
+            for element, observable in observables.items()
+        }
+        return views["search"].exists(domains=domains)
 
     def _observable_space(self, views) -> dict[Element, list[tuple]]:
         return {
             element: sorted(views["by_observable"][element], key=repr)
             for element in views["elements"]
         }
-
-    def _is_consistent(self, views) -> bool:
-        elements = views["elements"]
-        space = self._observable_space(views)
-        if any(not space[element] for element in elements):
-            return False
-        return any(
-            self._achievable(views, dict(zip(elements, combination)))
-            for combination in itertools.product(*(space[e] for e in elements))
-        )
 
     # -- public API -------------------------------------------------------------------------
 
@@ -907,6 +787,4 @@ class ForestEngine:
 
     def is_consistent(self, instance: Instance) -> bool:
         """Is the instance consistent with the ontology (some labelling exists)?"""
-        if not instance.active_domain:
-            return True
-        return self._is_consistent(self._instance_views(instance))
+        return self.system.assignment_search(instance, self._label_types).exists()

@@ -76,10 +76,11 @@ def alc_aq_to_mddlog(omq: OntologyMediatedQuery) -> DisjunctiveDatalogProgram:
                     Rule((), (Atom(predicates[t], (x,)), Atom(symbol, (x,))))
                 )
     # Role assertions restrict pairs of guessed types.
+    type_ids = [(t, system.type_id(t)) for t in good_types]
     for symbol in data_schema.role_names:
-        role = Role(symbol.name)
-        for source, target in itertools.product(good_types, repeat=2):
-            if not system.compatible(source, target, role):
+        rows = system.compatibility_rows(Role(symbol.name))
+        for (source, i), (target, j) in itertools.product(type_ids, repeat=2):
+            if not rows[i] >> j & 1:
                 rules.append(
                     Rule(
                         (),

@@ -83,10 +83,11 @@ def alc_ucq_to_mddlog(omq: OntologyMediatedQuery) -> DisjunctiveDatalogProgram:
                     Rule((), (Atom(predicates[label], (x,)), Atom(symbol, (x,))))
                 )
     # Role edges must connect compatible types.
+    label_ids = [(label, system.type_id(label[0])) for label in labels]
     for symbol in data_schema.role_names:
-        role = Role(symbol.name)
-        for source, target in itertools.product(labels, repeat=2):
-            if not system.compatible(source[0], target[0], role):
+        rows = system.compatibility_rows(Role(symbol.name))
+        for (source, i), (target, j) in itertools.product(label_ids, repeat=2):
+            if not rows[i] >> j & 1:
                 rules.append(
                     Rule(
                         (),

@@ -4,7 +4,8 @@ The constructive heart of Section 4.2: from an ontology-mediated query with an
 atomic (or Boolean atomic) query one builds CSP template(s) whose complement
 defines the same query.  The template elements are the *good types* of the
 ontology; a type carries a concept name iff the name belongs to it, and two
-types are joined by a role iff they may label the endpoints of such an edge.
+types are joined by a role iff they may label the endpoints of such an edge
+(:meth:`repro.dl.reasoner.TypeSystem.type_template` builds it).
 The four cases of Theorem 4.6 differ only in which types are kept and whether
 a marked element is needed:
 
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from ..core.cq import Atom, Variable, atomic_query, boolean_atomic_query
-from ..core.instance import Fact, Instance, MarkedInstance
+from ..core.instance import Instance, MarkedInstance
 from ..core.schema import RelationSymbol, Schema
 from ..datalog.ddlog import DisjunctiveDatalogProgram, Rule, adom_atom
 from ..dl.concepts import And, Bottom, ConceptName, Exists, Role, Top, big_or
@@ -58,34 +59,6 @@ def _query_concept(omq: OntologyMediatedQuery) -> ConceptName:
     return ConceptName(atom.relation.name)
 
 
-def _type_template(
-    system: TypeSystem,
-    types: list,
-    schema: Schema,
-) -> Instance:
-    """The canonical template B_T for a set of types (proof of Theorem 4.6)."""
-    facts: list[Fact] = []
-    for symbol in schema.concept_names:
-        name = ConceptName(symbol.name)
-        for t in types:
-            if name in t:
-                facts.append(Fact(symbol, (t,)))
-    for symbol in schema.role_names:
-        role = Role(symbol.name)
-        for source, target in itertools.product(types, repeat=2):
-            if system.compatible(source, target, role):
-                facts.append(Fact(symbol, (source, target)))
-    # Elements that carry no fact still belong to the template; add a marker so
-    # the instance's active domain covers all types, then strip it.
-    present = {a for fact in facts for a in fact.arguments}
-    for t in types:
-        if t not in present:
-            # Isolated template elements cannot be the image of any data element
-            # that occurs in a fact, so they can safely be dropped.
-            continue
-    return Instance(facts, schema=schema)
-
-
 def omq_to_csp(omq: OntologyMediatedQuery) -> CspEncoding:
     """Theorem 4.6: encode an (ALC(H)(U), AQ/BAQ) query as (generalized,
     possibly marked) coCSP templates."""
@@ -106,12 +79,12 @@ def omq_to_csp(omq: OntologyMediatedQuery) -> CspEncoding:
         if boolean:
             # Keep only types without the query concept: a homomorphism into the
             # template is a model in which the query concept is empty.
-            template = _type_template(system, query_free, schema)
+            template = system.type_template(query_free, schema)
             templates.append(template)
         else:
             # Marked case: the template uses every type of the family; the marks
             # are the query-free types (the candidate answer must avoid A0).
-            template = _type_template(system, list(family), schema)
+            template = system.type_template(family, schema)
             for t in query_free:
                 if t in template.active_domain:
                     marked.append(MarkedInstance(template, (t,)))

@@ -1,9 +1,12 @@
 """Tests for homomorphisms, cores and structure operations."""
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Fact,
+    HomomorphismSearch,
     Instance,
     MarkedInstance,
     RelationSymbol,
@@ -141,3 +144,59 @@ def test_core_is_homomorphically_equivalent(length):
     kernel = core(graph)
     assert homomorphically_equivalent(graph, kernel)
     assert is_core(kernel)
+
+
+@st.composite
+def small_graphs(draw, size):
+    """A digraph on ``range(size)`` with some vertices in ``A``."""
+    vertex = st.integers(min_value=0, max_value=size - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=5))
+    marked = draw(st.sets(vertex, max_size=2))
+    return Instance(
+        [Fact(EDGE, edge) for edge in edges] + [Fact(A, (v,)) for v in marked]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(4), small_graphs(3), st.data())
+def test_domains_narrow_the_search(source, target, data):
+    """Property: ``solve``/``all`` under ``domains`` give exactly the
+    unrestricted homomorphisms (checked against brute force) whose images lie
+    in the domains."""
+    elements = sorted(source.active_domain)
+    images = sorted(target.active_domain)
+    domains = data.draw(
+        st.dictionaries(
+            st.sampled_from(elements), st.sets(st.sampled_from(images), max_size=2)
+        )
+    )
+    search = HomomorphismSearch(source, target)
+    unrestricted = [
+        dict(zip(elements, values))
+        for values in itertools.product(images, repeat=len(elements))
+        if is_homomorphism(dict(zip(elements, values)), source, target)
+    ]
+    assert sorted(map(sorted_items, search.all())) == sorted(map(sorted_items, unrestricted))
+    expected = [
+        hom
+        for hom in unrestricted
+        if all(hom[element] in allowed for element, allowed in domains.items())
+    ]
+    got = list(search.all(domains=domains))
+    assert sorted(map(sorted_items, got)) == sorted(map(sorted_items, expected))
+    solved = search.solve(domains=domains)
+    assert (solved is None) == (not expected)
+    assert solved is None or solved in expected
+
+
+def test_domains_are_checked_against_every_fact():
+    """Narrowing both ends of an edge to one image each must still check the
+    edge between them."""
+    search = HomomorphismSearch(path(1), path(2))
+    assert search.solve(domains={0: {0}, 1: {2}}) is None
+    assert search.solve(domains={0: {1}, 1: {2}}) == {0: 1, 1: 2}
+    assert list(search.all(domains={1: {1}})) == [{0: 0, 1: 1}]
+
+
+def sorted_items(mapping):
+    return sorted(mapping.items())

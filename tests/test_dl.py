@@ -1,9 +1,11 @@
 """Tests for DL concepts, ontologies, the FO translation and the reasoner."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import Fact, Instance, RelationSymbol, Schema
 from repro.dl import (
+    And,
     Bottom,
     ConceptInclusion,
     ConceptName,
@@ -17,6 +19,7 @@ from repro.dl import (
     RoleInclusion,
     Top,
     TransitiveRole,
+    TypeSystem,
     UnsupportedOntologyError,
     concept_satisfiable,
     concept_subsumed,
@@ -154,6 +157,72 @@ def test_value_restriction_propagates_over_abox_edges():
         [Fact(RelationSymbol("A", 1), ("a",)), Fact(RelationSymbol("R", 2), ("a", "b"))]
     )
     assert not instance_consistent(data, ontology)
+
+
+def closure_scan_compatible(system, source, target, role):
+    """The reference: may ``target`` label a ``role``-successor of ``source``,
+    decided by one scan of the closure per pair."""
+    supers = system.super_roles(role)
+    for concept in system.closure:
+        if (
+            isinstance(concept, Forall)
+            and concept in source
+            and (concept.role in supers or concept.role.is_universal())
+            and concept.filler.nnf() not in target
+        ):
+            return False
+        if (
+            isinstance(concept, Exists)
+            and concept not in source
+            and concept.role in supers
+            and concept.filler.nnf() in target
+        ):
+            return False
+    return True
+
+
+_ROLES = [R, Role("S")]
+_CONCEPTS = st.recursive(
+    st.sampled_from([A, B, C, Top(), Bottom()]),
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(And, inner, inner),
+        st.builds(Or, inner, inner),
+        st.builds(Exists, st.sampled_from(_ROLES), inner),
+        st.builds(Forall, st.sampled_from(_ROLES), inner),
+    ),
+    max_leaves=3,
+)
+
+
+@st.composite
+def alch_ontologies(draw):
+    """Small ALCH ontologies: one to three concept inclusions over A, B, C
+    and the roles R, S, plus one or both of R ⊑ S and S ⊑ R."""
+    axioms = draw(
+        st.lists(st.builds(ConceptInclusion, _CONCEPTS, _CONCEPTS), min_size=1, max_size=3)
+    )
+    inclusions = [RoleInclusion(R, Role("S")), RoleInclusion(Role("S"), R)]
+    axioms += draw(st.lists(st.sampled_from(inclusions), min_size=1, max_size=2, unique=True))
+    return Ontology(axioms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alch_ontologies())
+def test_compatibility_rows_agree_with_closure_scan(ontology):
+    """Property: the per-role bitset rows give the closure scan's verdict on
+    every (source, target, role) over all types, for an unused role too."""
+    system = TypeSystem(ontology)
+    types = system.all_types()
+    assume(len(types) <= 64)
+    for role in [*_ROLES, Role("Q")]:
+        rows = system.compatibility_rows(role)
+        for source in types:
+            for target in types:
+                expected = closure_scan_compatible(system, source, target, role)
+                assert system.compatible(source, target, role) == expected
+                row = rows[system.type_id(source)]
+                assert bool(row >> system.type_id(target) & 1) == expected
 
 
 def test_reasoner_rejects_unsupported_ontologies():

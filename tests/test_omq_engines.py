@@ -3,7 +3,7 @@ including cross-checks between the complete engines and the bounded reference
 engine on the paper's worked examples."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import Atom, ConjunctiveQuery, Fact, Instance, RelationSymbol, Schema, Variable, atomic_query
 from repro.dl import ConceptInclusion, ConceptName, Exists, Ontology, Role
@@ -190,20 +190,19 @@ def test_bounded_engine_supports_functional_roles():
     assert omq.certain_answers(functional_ok_instance(), engine="bounded") == frozenset()
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
+        st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
         max_size=4,
     ),
-    st.sets(st.integers(min_value=0, max_value=2), max_size=2),
+    st.sets(st.integers(min_value=0, max_value=3), max_size=2),
 )
 def test_forest_engine_agrees_with_bounded_engine(edges, marked):
-    """Property: on random small HasParent-chains the complete AQ engine and the
-    bounded reference engine agree (Example 4.5's ontology)."""
-    from repro.workloads.medical import example_4_5_omq
-
-    omq = example_4_5_omq()
+    """Property: on random HasParent data under the full medical ontology the
+    two complete engines agree on q2 of Example 2.2, and both stay within the
+    bounded engine (only its ``False`` verdicts are sound)."""
+    omq = example_2_2_q2_omq()
     facts = [
         Fact(RelationSymbol("HasParent", 2), (f"p{a}", f"p{b}")) for a, b in edges
     ]
@@ -213,6 +212,54 @@ def test_forest_engine_agrees_with_bounded_engine(edges, marked):
     if not facts:
         return
     data = Instance(facts)
+    forest = omq.certain_answers(data, engine="forest")
     atomic = omq.certain_answers(data, engine="atomic")
     bounded = omq.certain_answers(data, engine="bounded")
-    assert atomic == bounded
+    assert forest == atomic
+    assert forest <= bounded
+
+
+_PATIENT_ROLES = ("HasFinding", "HasDiagnosis", "HasParent")
+_PATIENT_CONCEPTS = ("ErythemaMigrans", "LymeDisease", "Listeriosis", "HereditaryPredisposition")
+
+
+@st.composite
+def patient_data(draw):
+    """Random data over Example 2.1's schema with two to four elements."""
+    size = draw(st.integers(min_value=2, max_value=4))
+    element = st.integers(min_value=0, max_value=size - 1)
+    roles = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_PATIENT_ROLES), element, element),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    concepts = draw(
+        st.lists(st.tuples(st.sampled_from(_PATIENT_CONCEPTS), element), max_size=3)
+    )
+    facts = [Fact(RelationSymbol(name, 2), (f"e{a}", f"e{b}")) for name, a, b in roles]
+    facts += [Fact(RelationSymbol(name, 1), (f"e{a}",)) for name, a in concepts]
+    data = Instance(facts)
+    assume(len(data.active_domain) >= 2)
+    return data
+
+
+@settings(max_examples=20, deadline=None)
+@given(patient_data())
+def test_forest_engine_on_random_patient_data(data):
+    """Property: Example 2.1's forest-engine answers equal its UCQ rewriting
+    (a diagnosed bacterial infection, or an Erythema Migrans finding) and stay
+    within the bounded engine's."""
+    omq = example_2_1_omq()
+    diagnosed = {
+        (x,)
+        for x, y in data.tuples("HasDiagnosis")
+        if (y,) in data.tuples("LymeDisease") | data.tuples("Listeriosis")
+    }
+    found = {
+        (x,) for x, y in data.tuples("HasFinding") if (y,) in data.tuples("ErythemaMigrans")
+    }
+    forest = omq.certain_answers(data, engine="forest")
+    assert forest == diagnosed | found
+    assert forest <= omq.certain_answers(data, engine="bounded")
