@@ -1,19 +1,14 @@
-"""E-PAR — Sharded / parallel certain-answer serving scaling curves.
+"""E-PAR — Sharded certain-answer serving scaling curve.
 
 The Theorem 3.3 reduction makes candidate tuples independently decidable
-against one ground program, and the serving layer exploits that two ways:
-
-* **Sharding** (`ShardedObdaSession`): the Table 1 medical workload is
-  consistent-hash-partitioned across 1/2/4 per-shard sessions and driven
-  through a churn-and-query serving stream (bulk load, then delete /
-  re-insert epochs with certain-answer queries after every update).  The
-  per-candidate solve cost is proportional to the shard's clause database,
-  so sharding is an *algorithmic* win — the curve below holds even on a
-  single core, before any process placement.
-* **Worker pools** (`ParallelEvaluator`): one-shot evaluation dispatches
-  candidate chunks across replica workers with learned-clause feedback.
-  Recorded for the curve; on a single-core host the pool pays process
-  overhead without gaining hardware, so only the sharded curve is gated.
+against one ground program, and connected, constant-free programs never
+join facts across data components.  `ShardedObdaSession` exploits both:
+the Table 1 medical workload is consistent-hash-partitioned across 1/2/4
+per-shard sessions and driven through a churn-and-query serving stream
+(bulk load, then delete / re-insert epochs with certain-answer queries
+after every update).  The per-candidate solve cost is proportional to the
+shard's clause database, so sharding is an *algorithmic* win — the curve
+below holds even on a single core, with every shard in one process.
 
 Acceptance: 4-shard serving must be ≥ 1.5x over 1-shard on the Table
 1-scale workload, with identical certain answers at every epoch (the
@@ -24,17 +19,14 @@ import time
 
 import pytest
 
-from repro.engine import ParallelEvaluator, ground_program
 from repro.omq.certain import compile_to_mddlog
 from repro.service import ObdaSession, ShardedObdaSession, medical_universe
 from repro.workloads.medical import example_2_1_omq
 
 REQUIRED_SPEEDUP = 1.5
 SHARD_COUNTS = (1, 2, 4)
-WORKER_COUNTS = (1, 2, 4)
 
 _shard_runs: dict[int, tuple[float, list]] = {}
-_worker_runs: dict[int, tuple[float, frozenset]] = {}
 _compiled = {}
 _timing_asserted = {"enabled": True}
 
@@ -111,40 +103,3 @@ def test_sharded_scaling_curve_and_equivalence():
             f"4-shard serving only {curve[4]:.2f}x over 1-shard "
             f"(required {REQUIRED_SPEEDUP}x)"
         )
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_worker_pool_candidate_decision(benchmark, workers):
-    """Chunked worker-pool decision of all candidates of one ground medical
-    program (grounding excluded — it is shared, the decisions are not)."""
-    program = _medical_program()
-    from repro.core.instance import Instance
-
-    ground = ground_program(program, Instance(_universe()))
-
-    def run():
-        started = time.perf_counter()
-        with ParallelEvaluator(ground, workers=workers) as evaluator:
-            answers = evaluator.certain_answers()
-        _worker_runs[workers] = (time.perf_counter() - started, answers)
-        return answers
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-
-def test_worker_pool_equivalence():
-    """Every worker count returns the serial engine's answers (the timing
-    curve is recorded by the benchmark harness; on single-core hosts the
-    pool is overhead, so no speedup is asserted here)."""
-    if set(WORKER_COUNTS) - set(_worker_runs):
-        pytest.skip("worker runs did not execute")
-    baseline = _worker_runs[1][1]
-    for workers in WORKER_COUNTS:
-        assert _worker_runs[workers][1] == baseline
-    print(
-        "\n[E-PAR] worker-pool candidate decision: "
-        + ", ".join(
-            f"{workers}w {_worker_runs[workers][0]:.2f}s"
-            for workers in WORKER_COUNTS
-        )
-    )

@@ -36,13 +36,15 @@ from repro.datalog import (
     evaluate,
     goal_atom,
 )
-from repro.planner import TIER_GROUND_SAT, plan_for_tier, plan_program
+from repro.planner import TIER_GROUND_SAT, PlanPolicy, plan_for_tier, plan_program
 from repro.service import ObdaSession, medical_universe, random_stream, replay
 from repro.translations.csp_templates import csp_to_mddlog
 from repro.workloads.csp_zoo import three_colourability_template
 
 REQUIRED_SPEEDUP = 3.0
 REPORT_PATH = Path(__file__).resolve().parent / "results" / "PLANNER_ROUTING.json"
+#: The forced ground+CDCL baseline every routed tier is timed against.
+FORCE_SAT = PlanPolicy(tier=TIER_GROUND_SAT)
 
 _REPORT: dict = {"workloads": {}, "crossval": {}}
 
@@ -120,7 +122,7 @@ def _routed_vs_forced_stream(benchmark, name, program, events, expected_tier):
         return replay(session, events)
 
     report = benchmark.pedantic(routed, rounds=3, iterations=1)
-    forced_session = ObdaSession({name: program}, force_tier=TIER_GROUND_SAT)
+    forced_session = ObdaSession({name: program}, policy=FORCE_SAT)
     forced_report = replay(forced_session, events)
     routed_answers = _stream_answers(report)
     assert routed_answers == _stream_answers(forced_report), (
@@ -204,7 +206,7 @@ def test_planner_tier2_cocsp_control(benchmark):
     routed = benchmark.pedantic(
         lambda: evaluate(program, instance), rounds=3, iterations=1
     )
-    forced = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+    forced = evaluate(program, instance, policy=FORCE_SAT)
     assert routed == forced
     _record(
         "workloads",
@@ -278,14 +280,14 @@ def test_planner_crossval_randomized_programs():
         instance = _random_instance(rng)
         plan = plan_program(program)
         tier_counts[plan.tier] += 1
-        reference = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+        reference = evaluate(program, instance, policy=FORCE_SAT)
         assert evaluate(program, instance) == reference, plan.rationale
         for tier in (0, 1):
             try:
                 plan_for_tier(program, tier)
             except ValueError:
                 continue
-            forced = evaluate(program, instance, force_tier=tier)
+            forced = evaluate(program, instance, policy=PlanPolicy(tier=tier))
             assert forced == reference, (
                 f"tier {tier} diverges on {program!r}"
             )
@@ -321,7 +323,7 @@ def test_planner_one_shot_ratios():
         answers = (
             evaluate(program, instance)
             if tier is None
-            else evaluate(program, instance, force_tier=tier)
+            else evaluate(program, instance, policy=PlanPolicy(tier=tier))
         )
         timings[label] = time.perf_counter() - start
         timings[f"{label}_answers"] = len(answers)

@@ -36,6 +36,7 @@ from repro.planner import (
     TIER_FIXPOINT,
     TIER_GROUND_SAT,
     TIER_REWRITE,
+    PlanPolicy,
     plan_program,
 )
 from repro.service import ObdaSession, random_stream, replay
@@ -44,6 +45,8 @@ from repro.workloads.csp_zoo import three_colourability_template
 
 REQUIRED_SPEEDUP = 3.0
 REPORT_PATH = Path(__file__).resolve().parent / "results" / "SEMANTIC_ROUTING.json"
+#: The forced ground+CDCL baseline every routed tier is timed against.
+FORCE_SAT = PlanPolicy(tier=TIER_GROUND_SAT)
 
 _REPORT: dict = {"workloads": {}}
 
@@ -162,7 +165,7 @@ def _routed_vs_forced_stream(
         return replay(session, events)
 
     report = benchmark.pedantic(routed, rounds=3, iterations=1)
-    forced_session = ObdaSession({name: program}, force_tier=TIER_GROUND_SAT)
+    forced_session = ObdaSession({name: program}, policy=FORCE_SAT)
     forced_report = replay(forced_session, events)
     routed_answers = _stream_answers(report)
     assert routed_answers == _stream_answers(forced_report), (
@@ -239,7 +242,7 @@ def test_semantic_tier1_compiled_datalog_query_heavy(benchmark):
     routed_s = time.perf_counter() - routed_started
     forced_started = time.perf_counter()
     forced_session = ObdaSession(
-        program, initial_facts=facts, force_tier=TIER_GROUND_SAT
+        program, initial_facts=facts, policy=FORCE_SAT
     )
     forced_answers = [forced_session.certain_answers() for _ in range(queries)]
     forced_s = time.perf_counter() - forced_started
@@ -285,7 +288,7 @@ def test_semantic_tier1_churn_stream_recorded():
     events = random_stream(ancestry_universe(20), length=60, seed=29, query_every=3)
     routed_report = replay(ObdaSession(program), events)
     forced_report = replay(
-        ObdaSession(program, force_tier=TIER_GROUND_SAT), events
+        ObdaSession(program, policy=FORCE_SAT), events
     )
     assert _stream_answers(routed_report) == _stream_answers(forced_report)
     ratio = forced_report.elapsed_s / routed_report.elapsed_s
@@ -333,7 +336,7 @@ def test_semantic_control_cocsp_k3(benchmark):
     routed = benchmark.pedantic(
         lambda: evaluate(program, instance), rounds=3, iterations=1
     )
-    forced = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+    forced = evaluate(program, instance, policy=FORCE_SAT)
     assert routed == forced
     _record(
         "cocsp_k3_control",

@@ -1,26 +1,20 @@
-"""Tour: sharded and worker-pool parallel certain-answer serving.
+"""Tour: sharded certain-answer serving.
 
 The Theorem 3.3 reduction (ontology-mediated query -> one disjunctive
 datalog program) leaves every candidate answer tuple independently
 decidable, and the data itself splits into connected components that never
-interact under connected, constant-free programs.  This tour drives both
-parallel layers built on those observations:
+interact under connected, constant-free programs.  A
+:class:`ShardedObdaSession` builds on both observations: it
+consistent-hash-partitions the Table 1 medical fact stream across
+per-shard compiled sessions and merges their certain answers — identical
+to a single session, but every shard grounds and solves a fraction of the
+data.
 
-1. a :class:`ShardedObdaSession` consistent-hash-partitions the Table 1
-   medical fact stream across per-shard compiled sessions and merges their
-   certain answers — identical to a single session, but every shard grounds
-   and solves a fraction of the data;
-2. a :class:`ParallelEvaluator` dispatches candidate-tuple decisions in
-   chunks across a persistent worker pool whose workers replicate the
-   ground program (with learned-clause summaries fed back between chunks).
-
-Run with ``PYTHONPATH=src python examples/parallel_obda.py``.
+Run with ``PYTHONPATH=src python examples/sharded_obda.py``.
 """
 
 import time
 
-from repro.core.instance import Instance
-from repro.engine import ParallelEvaluator, ground_program
 from repro.omq.certain import compile_to_mddlog
 from repro.service import (
     ObdaSession,
@@ -41,7 +35,7 @@ def main() -> None:
     universe = medical_universe(patients=10, generations=6)
     print(f"fact universe: {len(universe)} facts")
 
-    print("\n== 1. sharded serving ==")
+    print("\n== sharded serving ==")
     single = ObdaSession({"q1": program})
     sharded = ShardedObdaSession({"q1": program}, shards=4)
 
@@ -68,24 +62,6 @@ def main() -> None:
     )
     patients = sorted(a[0] for a in sharded.certain_answers("q1"))
     print(f"certain bacterial-infection patients: {patients}")
-
-    print("\n== 2. worker-pool candidate decision ==")
-    instance = Instance(universe)
-    ground = ground_program(program, instance)
-    serial_started = time.perf_counter()
-    serial = ground.certain_answers()
-    serial_s = time.perf_counter() - serial_started
-    pool_started = time.perf_counter()
-    with ParallelEvaluator(ground, workers=2, chunk_size=8) as evaluator:
-        parallel = evaluator.certain_answers()
-    pool_s = time.perf_counter() - pool_started
-    assert parallel == serial, "worker-pool answers must be identical"
-    print(
-        f"{len(list(instance.active_domain))} candidates: serial {serial_s:.2f}s, "
-        f"2-worker pool {pool_s:.2f}s (worker pools trade process overhead "
-        "for cores; on a single-core host the sharded path is the win)"
-    )
-    print(f"both engines agree on {len(serial)} certain answers")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from typing import Hashable, Iterable, Iterator, Sequence
 from ..core.instance import Fact, Instance
 from ..engine.grounder import Clause, GroundAtom, ground_program, instantiate_atom as _ground_atom
 from ..engine.sat import solver_for_clauses
-from ..planner.policy import _UNSET
 from .ddlog import ADOM, DisjunctiveDatalogProgram
 
 __all__ = [
@@ -76,12 +75,6 @@ def evaluate(
     program: DisjunctiveDatalogProgram,
     instance: Instance,
     policy=None,
-    *,
-    parallel=_UNSET,
-    chunk_size=_UNSET,
-    force_tier=_UNSET,
-    semantic=_UNSET,
-    semantic_budget=_UNSET,
 ) -> frozenset[tuple]:
     """The certain answers ``qΠ(D)`` of a DDlog program on an instance.
 
@@ -93,45 +86,22 @@ def evaluate(
     are identical for every tier.
 
     Every knob arrives through one frozen
-    :class:`~repro.planner.PlanPolicy` (``policy=``); the individual
-    keywords remain as deprecated aliases.  ``tier`` pins one tier (2 is
-    always sound) for cross-validation and benchmarking, bypassing the
-    semantic stage entirely.
+    :class:`~repro.planner.PlanPolicy` (``policy=``).  Its ``tier`` pins
+    one tier (2 is always sound) for cross-validation and benchmarking,
+    bypassing the semantic stage entirely.
 
-    ``parallel`` affects only the ground+CDCL tier: with > 1 worker the
-    candidate decisions are dispatched in chunks across a worker pool in
-    which every worker replicates the ground program
-    (:mod:`repro.engine.parallel`); ``"auto"`` sizes the pool from the
-    planner's cost estimate.  Answers are identical for every worker count
-    and chunk size.
-
-    ``semantic`` / ``semantic_budget`` control the planner's semantic
-    rewritability stage (:mod:`repro.planner.semantic`) for syntactic
-    tier-2 programs.  The semantic analysis runs once per program object
-    (cached on the program), so its one-off cost — typically well under a
-    second, bounded by the budget's deadline — amortizes across repeated
-    evaluations and serving sessions; for a genuinely single-shot query on
-    a small instance where that up-front cost is not worth paying, pass
-    ``PlanPolicy(semantic=False)``.
+    Its ``semantic`` / ``semantic_budget`` fields control the planner's
+    semantic rewritability stage (:mod:`repro.planner.semantic`) for
+    syntactic tier-2 programs.  The semantic analysis runs once per program
+    object (cached on the program), so its one-off cost — typically well
+    under a second, bounded by the budget's deadline — amortizes across
+    repeated evaluations and serving sessions; for a genuinely single-shot
+    query on a small instance where that up-front cost is not worth paying,
+    pass ``PlanPolicy(semantic=False)``.
     """
     from ..planner import execute_plan, plan_program
-    from ..planner.policy import resolve_policy
 
-    policy = resolve_policy(
-        policy,
-        {
-            "parallel": parallel,
-            "chunk_size": chunk_size,
-            "force_tier": force_tier,
-            "semantic": semantic,
-            "semantic_budget": semantic_budget,
-        },
-        where="evaluate",
-    )
-    plan = plan_program(program, policy)
-    return execute_plan(
-        plan, instance, parallel=policy.parallel, chunk_size=policy.chunk_size
-    )
+    return execute_plan(plan_program(program, policy), instance)
 
 
 def evaluate_boolean(program: DisjunctiveDatalogProgram, instance: Instance) -> bool:

@@ -29,7 +29,6 @@ from .joins import (
     matching_rows,
     order_atoms,
 )
-from .parallel import ParallelEvaluator, ReplicaPool, parallel_certain_answers, resolve_workers
 from .sat import ClauseSolver, TseitinAux, solver_for_clauses, tseitin_clauses, tseitin_encode
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "GroundAtom",
     "GroundProgram",
     "JoinPlan",
-    "ParallelEvaluator",
-    "ReplicaPool",
     "TseitinAux",
     "canonical_key",
     "compile_join",
@@ -50,8 +47,6 @@ __all__ = [
     "join_exists",
     "matching_rows",
     "order_atoms",
-    "parallel_certain_answers",
-    "resolve_workers",
     "solver_for_clauses",
     "tseitin_clauses",
     "tseitin_encode",

@@ -176,39 +176,6 @@ class ClauseSolver:
         self._watches[clause[1]].append(index)
         return index
 
-    def clause_count(self) -> int:
-        """How many (non-unit) clauses the database holds, learned included.
-
-        Record this before a batch of ``solve`` calls and pass it to
-        :meth:`export_clauses` afterwards to extract exactly the clauses
-        learned by that batch.
-        """
-        return len(self._clauses)
-
-    def export_clauses(
-        self, start: int = 0, max_width: int | None = None
-    ) -> list[Clause]:
-        """Decode database clauses ``[start:]`` back into atom form.
-
-        Every returned ``(negative atoms, positive atoms)`` pair is implied
-        by the clauses added so far (learned clauses are consequences of the
-        problem clauses alone, never of assumptions), so feeding them to
-        another solver over the same problem is sound.  ``max_width`` drops
-        wider clauses — the parallel evaluator ships only short summaries.
-        """
-        exported: list[Clause] = []
-        for clause in self._clauses[start:]:
-            if max_width is not None and len(clause) > max_width:
-                continue
-            negative = frozenset(
-                self._atoms[lit >> 1] for lit in clause if lit & 1
-            )
-            positive = frozenset(
-                self._atoms[lit >> 1] for lit in clause if not lit & 1
-            )
-            exported.append((negative, positive))
-        return exported
-
     # -- assignment control ----------------------------------------------------
 
     def _assign_lit(self, lit: int, reason: int | None) -> None:

@@ -32,7 +32,6 @@ from ..csp.rewritability import (
 )
 from ..csp.template import prune_to_incomparable
 from ..omq.query import OntologyMediatedQuery
-from ..planner.policy import _UNSET
 from ..translations.csp_templates import CspEncoding, omq_to_csp
 
 
@@ -239,9 +238,6 @@ def serve_omq_workload(
     initial_instance: Instance | None = None,
     shards: int = 1,
     policy=None,
-    *,
-    semantic=_UNSET,
-    semantic_budget=_UNSET,
 ):
     """Compile an OMQ workload into a live serving session.
 
@@ -260,17 +256,8 @@ def serve_omq_workload(
     one-shot applications to the streaming serving layer.
 
     ``policy`` is the unified :class:`~repro.planner.PlanPolicy` (forced
-    tier, semantic stage, adaptive re-planning, unfolding caps); the
-    ``semantic=`` / ``semantic_budget=`` keywords remain as deprecated
-    aliases.
+    tier, semantic stage, adaptive re-planning, unfolding caps).
     """
-    from ..planner.policy import resolve_policy
-
-    policy = resolve_policy(
-        policy,
-        {"semantic": semantic, "semantic_budget": semantic_budget},
-        where="serve_omq_workload",
-    )
     initial = () if initial_instance is None else initial_instance.facts
     if shards > 1:
         from ..service.shards import ShardedObdaSession
@@ -327,7 +314,7 @@ def serve_frontend_workload(
     return frontend
 
 
-def plan_omq_workload(workload, policy=None, *, semantic=_UNSET, semantic_budget=_UNSET) -> dict:
+def plan_omq_workload(workload, policy=None) -> dict:
     """Plan a workload without serving it: query name -> :class:`QueryPlan`.
 
     Compiles each entry exactly as :func:`serve_omq_workload` would (OMQs
@@ -341,14 +328,8 @@ def plan_omq_workload(workload, policy=None, *, semantic=_UNSET, semantic_budget
     from collections.abc import Mapping
 
     from ..planner import plan_workload
-    from ..planner.policy import resolve_policy
     from ..service.session import DEFAULT_QUERY, _compile
 
-    policy = resolve_policy(
-        policy,
-        {"semantic": semantic, "semantic_budget": semantic_budget},
-        where="plan_omq_workload",
-    )
     if not isinstance(workload, Mapping):
         workload = {DEFAULT_QUERY: workload}
     return plan_workload(

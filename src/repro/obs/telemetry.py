@@ -31,8 +31,7 @@ Enable telemetry for a scope with :func:`enabled`::
 
 or install a recorder for the process lifetime with :func:`install`.
 Recorders are deliberately not thread-safe: the engine is single-threaded
-(parallelism is fork-based, and child processes start with telemetry
-disabled because ``ACTIVE`` is re-imported, not inherited live).
+(sharded sessions run their shards in-process, one after another).
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from typing import Sequence
 
 from ..core.instance import Fact, Instance
 from ..dl.fo_translation import ontology_to_fo_sentence
-from ..engine.parallel import ReplicaPool, resolve_workers
 from ..engine.sat import TseitinAux, solver_for_clauses, tseitin_clauses, tseitin_encode
 from ..fo.grounding import ground, ground_ucq, model_from_assignment, satisfying_assignment
 from .query import OntologyMediatedQuery
@@ -114,9 +113,7 @@ class BoundedModelEngine:
             return False
         return self.countermodel(instance, answer) is None
 
-    def certain_answers(
-        self, instance: Instance, parallel: "int | str | None" = None
-    ) -> frozenset[tuple]:
+    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
         """All certain answers, grounding the ontology once per domain.
 
         The ontology, functionality and data constraints are encoded into
@@ -125,48 +122,11 @@ class BoundedModelEngine:
         decided with an assumption-based ``solve`` (the incremental-SAT
         pattern), instead of rebuilding the whole propositional problem for
         every ``(candidate, domain)`` pair.
-
-        Candidate tuples are independently decidable, so with ``parallel``
-        > 1 they are partitioned into chunks across a worker pool in which
-        every worker replicates this engine and runs the same incremental
-        loop over its chunk (:mod:`repro.engine.parallel`).  With
-        ``parallel="auto"`` the pool is sized by the planner's cost
-        heuristic — candidates times the grounded ontology's rough clause
-        count — so small problems stay serial and skip the pool start-up.
         """
         base = sorted(instance.active_domain, key=repr)
         if not base:
             return frozenset()
-        candidates = list(itertools.product(base, repeat=self.ucq.arity))
-        if parallel == "auto":
-            from ..planner import auto_workers
-
-            largest = len(base) + self.extra_elements
-            score = len(candidates) * self._sentence.size() * float(largest) ** 2
-            parallel = auto_workers(score)
-        if parallel is not None and resolve_workers(parallel) > 1:
-            pool = ReplicaPool((self, instance), parallel)
-            try:
-                if pool.is_parallel:
-                    # One chunk per worker: each chunk re-grounds the
-                    # ontology per bounded domain, so fewer, larger chunks
-                    # keep that dominant cost paid once per worker.
-                    size = -(-len(candidates) // pool.workers)
-                    chunks = [
-                        candidates[start : start + size]
-                        for start in range(0, len(candidates), size)
-                    ]
-                    certain_chunks = pool.run(_bounded_chunk, chunks)
-                    return frozenset().union(*certain_chunks)
-            finally:
-                pool.close()
-        return self._certain_subset(instance, candidates)
-
-    def _certain_subset(
-        self, instance: Instance, candidates: Sequence[tuple]
-    ) -> frozenset[tuple]:
-        """The certain answers among the given candidate tuples."""
-        remaining = set(candidates)
+        remaining = set(itertools.product(base, repeat=self.ucq.arity))
         for domain in self._domains(instance):
             if not remaining:
                 break
@@ -207,11 +167,3 @@ class BoundedModelEngine:
     def has_countermodel(self, instance: Instance, answer: Sequence = ()) -> bool:
         """Convenience negation of :meth:`is_certain` (bounded refutation search)."""
         return not self.is_certain(instance, answer)
-
-
-def _bounded_chunk(context, chunk, _shared):
-    """Replica-pool task: decide one chunk of candidates on a worker's
-    engine replica (each worker re-runs the incremental per-domain loop,
-    restricted to its chunk)."""
-    engine, instance = context.payload
-    return engine._certain_subset(instance, list(chunk)), None

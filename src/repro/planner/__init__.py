@@ -15,8 +15,8 @@ tier name                 engine
                           no SAT, stateless under streaming updates)
 1    ``datalog-fixpoint`` semi-naive least fixpoint, DRed-maintained in
                           sessions; constraints checked on the minimal model
-2    ``ground+cdcl``      ground once + incremental CDCL (serial, parallel
-                          worker pools, or sharded sessions)
+2    ``ground+cdcl``      ground once + incremental CDCL (one-shot, or
+                          per shard in sharded sessions)
 ==== ==================== ====================================================
 
 Syntactic tier-2 programs additionally pass through the **semantic stage**
@@ -68,7 +68,6 @@ from .plan import (
     CostEstimate,
     PlanCache,
     QueryPlan,
-    auto_workers,
     clear_plan_artifacts,
     estimate_cost,
     plan_for_tier,
@@ -81,7 +80,6 @@ from .policy import (
     AdaptivePolicy,
     PlanPolicy,
     UnfoldCaps,
-    resolve_policy,
 )
 from .semantic import (
     SemanticBudget,
@@ -115,7 +113,6 @@ __all__ = [
     "UnfoldedDisjunct",
     "analyse_program",
     "analyse_rewritability",
-    "auto_workers",
     "candidate_plans",
     "clear_plan_artifacts",
     "cross_validate",
@@ -128,7 +125,6 @@ __all__ = [
     "plan_program",
     "plan_workload",
     "program_identity_key",
-    "resolve_policy",
     "static_rates",
     "ucq_candidate_certain",
     "ucq_certain_answers",

@@ -14,7 +14,7 @@ changes answers, only cost:
   constraint body satisfied in the minimal model is satisfied in every
   model, so firing means *no* model exists);
 * tier 2 grounds once and decides candidates against the persistent
-  incremental CDCL solver, optionally across a worker pool.
+  incremental CDCL solver.
 """
 
 from __future__ import annotations
@@ -27,16 +27,8 @@ from ..core.instance import Instance
 from ..datalog.plain import DatalogProgram
 from ..engine.grounder import ground_program
 from ..engine.joins import compile_join, execute_join, join_exists
-from ..engine.parallel import parallel_certain_answers, resolve_workers
 from .analysis import UcqUnfolding, UnfoldedDisjunct
-from .plan import (
-    TIER_FIXPOINT,
-    TIER_REWRITE,
-    QueryPlan,
-    auto_workers,
-    estimate_cost,
-    plan_program,
-)
+from .plan import TIER_FIXPOINT, TIER_REWRITE, QueryPlan, plan_program
 
 
 def vacuous_answers(instance: Instance, arity: int) -> frozenset[tuple]:
@@ -279,30 +271,13 @@ def fixpoint_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[t
 # ---------------------------------------------------------------------------
 
 
-def execute_plan(
-    plan: QueryPlan,
-    instance: Instance,
-    parallel: "int | str | None" = None,
-    chunk_size: int | None = None,
-) -> frozenset[tuple]:
-    """Certain answers via the plan's tier.
-
-    ``parallel`` only affects tier 2 (the SAT-free tiers have no candidate
-    decisions to fan out); ``"auto"`` sizes the pool from the cost
-    estimate's work score.
-    """
+def execute_plan(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
+    """Certain answers via the plan's tier."""
     if plan.tier == TIER_REWRITE:
         return ucq_certain_answers(plan, instance)
     if plan.tier == TIER_FIXPOINT:
         return fixpoint_certain_answers(plan, instance)
-    ground = ground_program(plan.program, instance)
-    if parallel == "auto":
-        parallel = auto_workers(estimate_cost(plan, instance).tier2_work_score)
-    if parallel is not None and resolve_workers(parallel) > 1:
-        return parallel_certain_answers(
-            ground, workers=parallel, chunk_size=chunk_size
-        )
-    return ground.certain_answers()
+    return ground_program(plan.program, instance).certain_answers()
 
 
 class PlannedMddlogEngine:
@@ -315,18 +290,12 @@ class PlannedMddlogEngine:
     its certain answers exactly.
     """
 
-    def __init__(self, program, semantic=None, budget=None, policy=None) -> None:
-        from .policy import PlanPolicy
-
-        if policy is None:
-            policy = PlanPolicy(semantic=semantic, semantic_budget=budget)
+    def __init__(self, program, policy=None) -> None:
         self.program = program
         self.plan = plan_program(program, policy)
 
-    def certain_answers(
-        self, instance: Instance, parallel: "int | str | None" = None
-    ) -> frozenset[tuple]:
-        return execute_plan(self.plan, instance, parallel=parallel)
+    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
+        return execute_plan(self.plan, instance)
 
     def is_certain(self, instance: Instance, answer: Sequence = ()) -> bool:
         answer = tuple(answer)

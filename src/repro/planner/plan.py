@@ -18,7 +18,7 @@ disjunctive datalog programs:
   model, and the certain answers are vacuously all tuples over the active
   domain (exactly the engine's convention for unsatisfiable programs).
 * **tier 2** (``ground+cdcl``) — everything else: the ground-once +
-  incremental CDCL engine (serial, worker-pool parallel, or sharded).
+  incremental CDCL engine (one-shot, or per shard in sharded sessions).
 
 Syntactic tier-2 programs additionally pass through the *semantic* stage
 (:mod:`repro.planner.semantic`), which runs the paper's Section 5.3
@@ -30,8 +30,9 @@ route off SAT despite their disjunctive guess rules.
 Plans are cached per compiled program object, so a workload compiled once
 into a session (or shared across shards) is planned once.  Cost estimates
 come from the instance's per-relation / per-position index statistics via
-:func:`estimate_cost` and make the plan explainable; they also drive the
-``parallel="auto"`` worker-count choice of the tier-2 paths.
+:func:`estimate_cost` and make the plan explainable; the adaptive
+controller (:mod:`repro.planner.adaptive`) prices its static per-tier
+rates from them.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from ..core.instance import Instance
 from ..datalog.ddlog import ADOM, DisjunctiveDatalogProgram
 from ..engine.grounder import _free_variable_blocks, _split_body
 from ..engine.joins import _estimated_rows, order_atoms
-from ..engine.parallel import resolve_workers
 from ..obs import telemetry as _telemetry
 from .analysis import (
     ProgramShape,
@@ -53,8 +53,8 @@ from .analysis import (
     effective_unfold_caps,
     unfold_to_ucq,
 )
-from .policy import _UNSET, PlanPolicy, UnfoldCaps, resolve_policy
-from .semantic import DEFAULT_BUDGET, SemanticBudget, SemanticReport
+from .policy import PlanPolicy, UnfoldCaps
+from .semantic import DEFAULT_BUDGET, SemanticReport
 
 TIER_REWRITE = 0
 TIER_FIXPOINT = 1
@@ -64,10 +64,6 @@ TIER_NAMES = {
     TIER_FIXPOINT: "datalog-fixpoint",
     TIER_GROUND_SAT: "ground+cdcl",
 }
-
-# Below this tier-2 work score (estimated ground clauses x candidate
-# tuples) a worker pool costs more to start than it saves.
-AUTO_PARALLEL_THRESHOLD = 2_000_000.0
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class CostEstimate:
 
     @property
     def tier2_work_score(self) -> float:
-        """The score ``parallel="auto"`` compares against the threshold."""
+        """Estimated tier-2 work: ground clauses x candidate tuples."""
         return self.ground_clauses * max(1, self.candidates)
 
     def describe(self) -> dict:
@@ -163,7 +159,7 @@ class QueryPlan:
 
 
 #: Whether ``plan_program(program)`` runs the semantic stage on syntactic
-#: tier-2 programs by default (``semantic=True/False`` overrides per call).
+#: tier-2 programs by default (``PlanPolicy(semantic=...)`` overrides it).
 SEMANTIC_ROUTING_DEFAULT = True
 
 # Plans are cached as private attributes *on the program object* rather
@@ -181,18 +177,12 @@ _SEMANTIC_PLANS_ATTR = "_planner_semantic_plans"
 def plan_program(
     program: DisjunctiveDatalogProgram,
     policy: PlanPolicy | None = None,
-    *,
-    semantic=_UNSET,
-    budget=_UNSET,
-    check=_UNSET,
 ) -> QueryPlan:
     """The (cached) cheapest-correct-engine plan for a compiled program.
 
-    All knobs arrive through ``policy`` (:class:`PlanPolicy`); the
-    ``semantic=`` / ``budget=`` / ``check=`` keywords are deprecated
-    aliases that construct an equivalent policy and warn.  A policy with
-    ``tier`` set delegates to :func:`plan_for_tier` (forced tiers bypass
-    the semantic stage entirely).
+    All knobs arrive through ``policy`` (:class:`PlanPolicy`).  A policy
+    with ``tier`` set delegates to :func:`plan_for_tier` (forced tiers
+    bypass the semantic stage entirely).
 
     Syntactic classification always runs first (and is cached on the
     program object, per resolved unfolding caps).  When it lands on tier 2
@@ -213,11 +203,8 @@ def plan_program(
     diagnostics before any classification work, ``"warn"`` reports them as
     Python warnings, ``"off"`` (the default here) trusts the caller.
     """
-    policy = resolve_policy(
-        policy,
-        {"semantic": semantic, "budget": budget, "check": check},
-        where="plan_program",
-    )
+    if policy is None:
+        policy = PlanPolicy()
     if policy.tier is not None:
         return plan_for_tier(program, policy.tier, caps=policy.unfold_caps)
     resolved_check = policy.resolved_check("off")
@@ -393,14 +380,8 @@ def plan_for_tier(
 def plan_workload(
     programs: Mapping[str, DisjunctiveDatalogProgram],
     policy: PlanPolicy | None = None,
-    *,
-    semantic=_UNSET,
-    budget=_UNSET,
 ) -> dict[str, QueryPlan]:
     """Plan every compiled query of a workload (cached per program)."""
-    policy = resolve_policy(
-        policy, {"semantic": semantic, "budget": budget}, where="plan_workload"
-    )
     return {
         name: plan_program(program, policy)
         for name, program in programs.items()
@@ -640,10 +621,3 @@ def estimate_cost(plan: QueryPlan, instance: Instance) -> CostEstimate:
         ground_clauses=ground_clauses,
         fixpoint_bound=fixpoint_bound,
     )
-
-
-def auto_workers(score: float, threshold: float = AUTO_PARALLEL_THRESHOLD) -> int | None:
-    """Worker count for ``parallel="auto"``: serial below the threshold."""
-    if score < threshold:
-        return None
-    return resolve_workers(None)

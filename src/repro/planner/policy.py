@@ -1,47 +1,26 @@
 """One frozen policy object for every planner-facing knob.
 
-Before this module the planner's knobs were sprawled across entry points as
-grown-over keyword arguments: ``force_tier=`` here, ``semantic=`` /
-``semantic_budget=`` there, ``check=`` on sessions, ``parallel=`` /
-``chunk_size=`` on ``evaluate``.  :class:`PlanPolicy` folds them into a
-single frozen dataclass accepted (as ``policy=``) by every public entry
-point — :class:`~repro.service.session.ObdaSession`,
+:class:`PlanPolicy` is the single way to configure planning: every public
+entry point — :class:`~repro.service.session.ObdaSession`,
 :class:`~repro.service.shards.ShardedObdaSession`,
 :func:`~repro.datalog.evaluation.evaluate`,
-:func:`~repro.planner.plan.plan_program` and
-:func:`~repro.obda.applications.serve_omq_workload` — plus the two knobs
-this PR introduces: :class:`AdaptivePolicy` (live re-planning of serving
-sessions, see :mod:`repro.planner.adaptive`) and :class:`UnfoldCaps`
-(cost-based tier-0 unfolding limits, see
-:func:`repro.planner.analysis.effective_unfold_caps`).
-
-The legacy keyword arguments still work, as *deprecated aliases*: each
-entry point routes them through :func:`resolve_policy`, which constructs
-the equivalent policy and emits one :class:`DeprecationWarning` naming the
-offending keywords.  Passing both ``policy=`` and a legacy keyword is a
-``TypeError`` — there is exactly one source of truth.
+:func:`~repro.planner.plan.plan_program`,
+:func:`~repro.planner.plan.plan_workload`,
+:func:`~repro.obda.applications.serve_omq_workload` and
+:func:`~repro.obda.applications.plan_omq_workload` — takes it as
+``policy=`` and has no other planner keyword.  Two nested knobs refine it:
+:class:`AdaptivePolicy` (live re-planning of serving sessions, see
+:mod:`repro.planner.adaptive`) and :class:`UnfoldCaps` (cost-based tier-0
+unfolding limits, see :func:`repro.planner.analysis.effective_unfold_caps`).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .semantic import SemanticBudget
-
-
-class _Unset:
-    """Sentinel distinguishing "legacy kwarg not passed" from ``None``."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -111,16 +90,14 @@ class PlanPolicy:
     ``PlanPolicy()`` is exactly the historical default behavior
     everywhere.  Fields:
 
-    * ``tier`` — pin one planner tier (the old ``force_tier=``); forcing
-      bypasses the semantic stage and **pins** the session: adaptive
-      re-planning is disabled with a rationale in ``explain()``.
+    * ``tier`` — pin one planner tier; forcing bypasses the semantic
+      stage and **pins** the session: adaptive re-planning is disabled
+      with a rationale in ``explain()``.
     * ``semantic`` / ``semantic_budget`` — the semantic rewritability
       stage (:mod:`repro.planner.semantic`) and its budget.
     * ``check`` — static-analyzer mode (``"off"`` / ``"warn"`` /
       ``"strict"``); ``None`` means the entry point's default (sessions
       ``"warn"``, bare planning ``"off"``).
-    * ``parallel`` / ``chunk_size`` — tier-2 worker-pool controls
-      (``evaluate`` and the parallel executors).
     * ``adaptive`` — ``True`` / an :class:`AdaptivePolicy` to enable live
       re-planning in serving sessions; ``None`` / ``False`` disables it.
     * ``unfold_caps`` — tier-0 unfolding limits (:class:`UnfoldCaps`);
@@ -131,8 +108,6 @@ class PlanPolicy:
     semantic: bool | None = None
     semantic_budget: "SemanticBudget | None" = None
     check: str | None = None
-    parallel: int | str | None = None
-    chunk_size: int | None = None
     adaptive: "AdaptivePolicy | bool | None" = None
     unfold_caps: UnfoldCaps | None = None
 
@@ -157,57 +132,3 @@ class PlanPolicy:
         if self.check is None:
             return self
         return replace(self, check=None)
-
-
-#: Maps each legacy keyword name to its :class:`PlanPolicy` field.
-LEGACY_KWARG_FIELDS: Mapping[str, str] = {
-    "force_tier": "tier",
-    "semantic": "semantic",
-    "semantic_budget": "semantic_budget",
-    "budget": "semantic_budget",
-    "check": "check",
-    "parallel": "parallel",
-    "chunk_size": "chunk_size",
-}
-
-_POLICY_FIELDS = frozenset(f.name for f in fields(PlanPolicy))
-
-
-def resolve_policy(
-    policy: PlanPolicy | None,
-    legacy: Mapping[str, object],
-    where: str,
-) -> PlanPolicy:
-    """Fold legacy keyword arguments and ``policy=`` into one policy.
-
-    ``legacy`` maps legacy keyword *names* to their values, ``_UNSET``
-    standing for "not passed".  Passing any legacy keyword emits a single
-    :class:`DeprecationWarning` naming them all; combining legacy keywords
-    with ``policy=`` raises ``TypeError`` (two sources of truth).
-    """
-    supplied = {
-        name: value for name, value in legacy.items() if value is not _UNSET
-    }
-    if not supplied:
-        return policy if policy is not None else PlanPolicy()
-    if policy is not None:
-        raise TypeError(
-            f"{where}: pass either policy=PlanPolicy(...) or the deprecated "
-            f"keyword(s) {sorted(supplied)}, not both"
-        )
-    mapped: dict[str, object] = {}
-    for name, value in supplied.items():
-        field_name = LEGACY_KWARG_FIELDS.get(name, name)
-        if field_name not in _POLICY_FIELDS:
-            raise TypeError(f"{where}: unknown legacy keyword {name!r}")
-        mapped[field_name] = value
-    rendered = ", ".join(
-        f"{LEGACY_KWARG_FIELDS.get(name, name)}=..." for name in sorted(supplied)
-    )
-    warnings.warn(
-        f"{where}: keyword argument(s) {', '.join(sorted(supplied))} are "
-        f"deprecated; pass policy=PlanPolicy({rendered}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return PlanPolicy(**mapped)  # type: ignore[arg-type]

@@ -56,7 +56,7 @@ from ..core.instance import Fact
 from ..datalog.ddlog import DisjunctiveDatalogProgram
 from ..obs import telemetry as _telemetry
 from ..obs.telemetry import Reservoir
-from ..planner import PlanCache, PlanPolicy, plan_for_tier, plan_program
+from ..planner import PlanCache, PlanPolicy, plan_program
 from .session import DEFAULT_QUERY, ObdaSession, SessionSnapshot, _compile
 
 __all__ = [
@@ -371,13 +371,9 @@ class Frontend:
                 # Plan at registration time: a shared representative hits
                 # the per-program plan cache here, which is what makes
                 # cross-tenant sharing observable in the planner counters.
-                if policy is not None and policy.tier is not None:
-                    plan_for_tier(program, policy.tier, caps=policy.unfold_caps)
-                else:
-                    plan_program(
-                        program,
-                        policy.planning_view() if policy is not None else None,
-                    )
+                plan_program(
+                    program, policy.planning_view() if policy is not None else None
+                )
             key = tuple(
                 sorted((name, id(program)) for name, program in compiled.items())
             )

@@ -55,7 +55,6 @@ from ..planner import (
     TIER_FIXPOINT,
     TIER_REWRITE,
     QueryPlan,
-    plan_for_tier,
     plan_program,
     ucq_candidate_certain,
     ucq_certain_answers,
@@ -68,7 +67,7 @@ from ..planner.execute import (
     vacuous_answers,
     vacuous_decisions,
 )
-from ..planner.policy import _UNSET, PlanPolicy, resolve_policy
+from ..planner.policy import PlanPolicy
 from .delta import DeltaGrounder, IncrementalFixpoint, fact_guard
 from .explain import EXPLAIN_SCHEMA
 
@@ -475,9 +474,7 @@ class ObdaSession:
     syntactic tier-2 programs: by default a compiled-but-rewritable query
     is served by the constructed rewriting on tier 0/1.  ``adaptive``
     (``True`` or an :class:`~repro.planner.AdaptivePolicy`) turns on live
-    re-planning between the sound tiers as the observed mix shifts.  The
-    old ``force_tier=`` / ``semantic=`` / ``semantic_budget=`` / ``check=``
-    keywords remain as deprecated aliases.
+    re-planning between the sound tiers as the observed mix shifts.
 
     ``check`` (policy field) runs the static analyzer
     (:mod:`repro.analysis`) over every compiled program before any solver
@@ -492,22 +489,9 @@ class ObdaSession:
         workload,
         initial_facts: Iterable[Fact] = (),
         policy: PlanPolicy | None = None,
-        *,
-        force_tier=_UNSET,
-        semantic=_UNSET,
-        semantic_budget=_UNSET,
-        check=_UNSET,
     ) -> None:
-        policy = resolve_policy(
-            policy,
-            {
-                "force_tier": force_tier,
-                "semantic": semantic,
-                "semantic_budget": semantic_budget,
-                "check": check,
-            },
-            where="ObdaSession",
-        )
+        if policy is None:
+            policy = PlanPolicy()
         self.policy = policy
         if isinstance(workload, Mapping):
             entries = dict(workload)
@@ -538,10 +522,7 @@ class ObdaSession:
         self._warm: dict[str, dict[int, object]] = {name: {} for name in compiled}
         self._states: dict[str, _SatState | _FixpointState | _UcqState] = {}
         for name, program in compiled.items():
-            if policy.tier is not None:
-                plan = plan_for_tier(program, policy.tier, caps=policy.unfold_caps)
-            else:
-                plan = plan_program(program, policy.planning_view())
+            plan = plan_program(program, policy.planning_view())
             if self._adaptive is not None:
                 candidates = candidate_plans(program, plan)
                 if len(candidates) > 1:

@@ -57,7 +57,7 @@ from ..core.instance import Fact, Instance
 from ..datalog.ddlog import DisjunctiveDatalogProgram
 from ..obs import telemetry as _telemetry
 from ..planner.execute import vacuous_answers, vacuous_decisions
-from ..planner.policy import _UNSET, PlanPolicy, resolve_policy
+from ..planner.policy import PlanPolicy
 from .explain import EXPLAIN_SCHEMA
 from .session import DEFAULT_QUERY, ObdaSession, SessionSnapshot, _compile
 
@@ -139,20 +139,9 @@ class ShardedObdaSession:
         shards: int = 2,
         initial_facts: Iterable[Fact] = (),
         policy: PlanPolicy | None = None,
-        *,
-        semantic=_UNSET,
-        semantic_budget=_UNSET,
-        check=_UNSET,
     ) -> None:
-        policy = resolve_policy(
-            policy,
-            {
-                "semantic": semantic,
-                "semantic_budget": semantic_budget,
-                "check": check,
-            },
-            where="ShardedObdaSession",
-        )
+        if policy is None:
+            policy = PlanPolicy()
         self.policy = policy
         if shards < 1:
             raise ValueError("need at least one shard")

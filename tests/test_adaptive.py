@@ -2,9 +2,9 @@
 
 Covers the PR's two faces end to end:
 
-* **PlanPolicy** — one frozen object for every planner knob, accepted by
-  every public entry point, with the legacy keywords surviving as
-  deprecated aliases whose behavior is *identical* (equivalence-tested);
+* **PlanPolicy** — one frozen object for every planner knob and the only
+  planner keyword of every public entry point (the removed per-call
+  keywords are rejected with ``TypeError``);
 * **adaptive re-planning** — sessions that watch their rolling
   read/insert/delete mix and hot-swap serving tiers, cross-validated on
   randomized mix-flip streams against every sound forced tier (including
@@ -14,7 +14,7 @@ Covers the PR's two faces end to end:
 """
 
 import random
-import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -23,7 +23,8 @@ from repro.core.cq import atomic_query
 from repro.core.schema import Schema
 from repro.datalog import evaluate
 from repro.dl import ConceptInclusion, ConceptName, Exists, Ontology, Role
-from repro.obda.applications import serve_omq_workload
+from repro.obda.applications import plan_omq_workload, serve_omq_workload
+from repro.omq.bounded import BoundedModelEngine
 from repro.omq.certain import compile_to_mddlog
 from repro.omq.query import OntologyMediatedQuery
 from repro.planner import (
@@ -31,13 +32,16 @@ from repro.planner import (
     TIER_GROUND_SAT,
     TIER_REWRITE,
     AdaptivePolicy,
+    PlannedMddlogEngine,
     PlanPolicy,
     TierCostModel,
     UnfoldCaps,
     candidate_plans,
     effective_unfold_caps,
+    execute_plan,
     plan_for_tier,
     plan_program,
+    plan_workload,
     static_rates,
 )
 from repro.planner.analysis import MAX_DISJUNCT_ATOMS, MAX_UNFOLDED_DISJUNCTS
@@ -52,11 +56,9 @@ HAS_PARENT = RelationSymbol("HasParent", 2)
 PREDISPOSITION = RelationSymbol("HereditaryPredisposition", 1)
 
 
-def datalog_rewritable_compiled():
-    """Theorem 3.3 compilation of the Example 4.5 ancestry query: the
-    planner's semantic stage serves it on tier 1, tier 2 stays sound —
-    exactly the two-tier candidate set adaptive swapping needs."""
-    omq = OntologyMediatedQuery(
+def ancestry_omq() -> OntologyMediatedQuery:
+    """The Example 4.5 ancestry query (datalog-rewritable, not FO)."""
+    return OntologyMediatedQuery(
         ontology=Ontology(
             [
                 ConceptInclusion(
@@ -72,7 +74,13 @@ def datalog_rewritable_compiled():
             concept_names=["HereditaryPredisposition"], role_names=["HasParent"]
         ),
     )
-    return compile_to_mddlog(omq)
+
+
+def datalog_rewritable_compiled():
+    """Theorem 3.3 compilation of the Example 4.5 ancestry query: the
+    planner's semantic stage serves it on tier 1, tier 2 stays sound —
+    exactly the two-tier candidate set adaptive swapping needs."""
+    return compile_to_mddlog(ancestry_omq())
 
 
 def ancestry_universe(generations: int = 16) -> list[Fact]:
@@ -108,7 +116,7 @@ def mix_flip_stream(session, universe, rng, queries_per_phase=20, churn=30):
 
 
 # ---------------------------------------------------------------------------
-# PlanPolicy: resolution, validation, legacy-alias equivalence
+# PlanPolicy: validation and the one-keyword surface
 # ---------------------------------------------------------------------------
 
 
@@ -124,51 +132,77 @@ def test_adaptive_policy_validates_knobs():
     assert PlanPolicy(adaptive=custom).resolved_adaptive() is custom
 
 
-def test_legacy_kwargs_warn_and_match_policy_behavior():
-    program = datalog_rewritable_compiled()
-    instance = Instance(ancestry_universe(6))
-    with pytest.warns(DeprecationWarning, match="force_tier"):
-        legacy = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
-    modern = evaluate(program, instance, PlanPolicy(tier=TIER_GROUND_SAT))
-    assert legacy == modern
-
-    with pytest.warns(DeprecationWarning, match="ObdaSession"):
-        legacy_session = ObdaSession(program, force_tier=TIER_GROUND_SAT)
-    modern_session = ObdaSession(program, policy=PlanPolicy(tier=TIER_GROUND_SAT))
-    facts = ancestry_universe(6)
-    legacy_session.insert_facts(facts)
-    modern_session.insert_facts(facts)
-    assert legacy_session.certain_answers() == modern_session.certain_answers()
-    assert (
-        legacy_session.explain()["queries"]["q"]["tier"]
-        == modern_session.explain()["queries"]["q"]["tier"]
-        == TIER_GROUND_SAT
-    )
-
-
-def test_policy_and_legacy_kwargs_together_is_an_error():
-    program = datalog_rewritable_compiled()
-    with pytest.raises(TypeError, match="not both"):
-        ObdaSession(program, policy=PlanPolicy(), check="off")
-    with pytest.raises(TypeError, match="not both"):
-        evaluate(program, Instance([]), PlanPolicy(), force_tier=2)
+def test_removed_planner_keywords_are_type_errors():
+    """``policy=`` is the only planner knob: every entry point rejects each
+    removed per-call keyword (the old aliases and the worker-pool
+    controls) with ``TypeError`` instead of translating it."""
+    assert [field.name for field in fields(PlanPolicy)] == [
+        "tier",
+        "semantic",
+        "semantic_budget",
+        "check",
+        "adaptive",
+        "unfold_caps",
+    ]
+    for removed in ("parallel", "chunk_size"):
+        with pytest.raises(TypeError, match=removed):
+            PlanPolicy(**{removed: None})
+    omq = ancestry_omq()
+    program = compile_to_mddlog(omq)
+    instance = Instance(ancestry_universe(2))
+    plan = plan_program(program)
+    planned = PlannedMddlogEngine(program)
+    bounded = BoundedModelEngine(omq, extra_elements=0)
+    entry_points = [
+        (
+            lambda **kw: evaluate(program, instance, **kw),
+            ("parallel", "chunk_size", "force_tier", "semantic", "semantic_budget"),
+        ),
+        (lambda **kw: plan_program(program, **kw), ("semantic", "budget", "check")),
+        (lambda **kw: plan_workload({"q": program}, **kw), ("semantic", "budget")),
+        (
+            lambda **kw: ObdaSession(program, **kw),
+            ("force_tier", "semantic", "semantic_budget", "check"),
+        ),
+        (
+            lambda **kw: ShardedObdaSession(program, **kw),
+            ("semantic", "semantic_budget", "check"),
+        ),
+        (
+            lambda **kw: serve_omq_workload(program, **kw),
+            ("semantic", "semantic_budget"),
+        ),
+        (
+            lambda **kw: plan_omq_workload(program, **kw),
+            ("semantic", "semantic_budget"),
+        ),
+        (lambda **kw: execute_plan(plan, instance, **kw), ("parallel", "chunk_size")),
+        (lambda **kw: PlannedMddlogEngine(program, **kw), ("semantic", "budget")),
+        (lambda **kw: planned.certain_answers(instance, **kw), ("parallel",)),
+        (lambda **kw: bounded.certain_answers(instance, **kw), ("parallel",)),
+    ]
+    checked = 0
+    for call, keywords in entry_points:
+        for keyword in keywords:
+            with pytest.raises(TypeError, match=f"'{keyword}'"):
+                call(**{keyword: None})
+            checked += 1
+    assert checked == 27
 
 
 def test_policy_reaches_every_entry_point():
     program = datalog_rewritable_compiled()
     policy = PlanPolicy(semantic=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        assert plan_program(program, policy).tier == TIER_GROUND_SAT
-        assert isinstance(
-            evaluate(program, Instance(ancestry_universe(4)), policy), frozenset
-        )
-        session = serve_omq_workload(program, policy=policy)
-        assert isinstance(session, ObdaSession)
-        assert session.plan().tier == TIER_GROUND_SAT
-        sharded = serve_omq_workload(program, shards=2, policy=policy)
-        assert isinstance(sharded, ShardedObdaSession)
-        assert sharded.plan().tier == TIER_GROUND_SAT
+    assert plan_program(program, policy).tier == TIER_GROUND_SAT
+    assert isinstance(
+        evaluate(program, Instance(ancestry_universe(4)), policy), frozenset
+    )
+    session = serve_omq_workload(program, policy=policy)
+    assert isinstance(session, ObdaSession)
+    assert session.plan().tier == TIER_GROUND_SAT
+    sharded = serve_omq_workload(program, shards=2, policy=policy)
+    assert isinstance(sharded, ShardedObdaSession)
+    assert sharded.plan().tier == TIER_GROUND_SAT
 
 
 # ---------------------------------------------------------------------------

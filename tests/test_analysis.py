@@ -1,6 +1,6 @@
 """The static analyzer: one mutation test per diagnostic code, the
-``check=`` wiring on every compile path, the CLI, the repo-invariant
-linter, and the committed-corpus sweep.
+``PlanPolicy(check=...)`` wiring on every compile path, the CLI, the
+repo-invariant linter, and the committed-corpus sweep.
 
 The mutation tests follow one pattern: a *seeder* builds a program
 exhibiting exactly the defect a code describes, and the test asserts the
@@ -251,7 +251,7 @@ def test_severity_views_and_merge():
 
 
 # ---------------------------------------------------------------------------
-# check= wiring: sessions, planner, shards.
+# PlanPolicy(check=...) wiring: sessions, planner, shards.
 # ---------------------------------------------------------------------------
 
 
@@ -263,15 +263,17 @@ def test_vet_program_rejects_unknown_mode():
 
 def test_strict_session_refuses_broken_program_before_solver_work():
     with pytest.raises(ProgramAnalysisError) as excinfo:
-        ObdaSession(seed_md001(), check="strict")
+        ObdaSession(seed_md001(), policy=PlanPolicy(check="strict"))
     assert any(d.code == "MD001" for d in excinfo.value.diagnostics)
     # ProgramAnalysisError is a ValueError: existing guards keep working.
     assert isinstance(excinfo.value, ValueError)
 
 
 def test_warn_session_emits_warnings_and_still_answers():
-    with pytest.warns(UserWarning, match="MD003"):
-        session = ObdaSession(seed_md003(), check="warn")
+    with pytest.warns(UserWarning) as record:
+        session = ObdaSession(seed_md003(), policy=PlanPolicy(check="warn"))
+    messages = " ".join(str(warning.message) for warning in record)
+    assert "MD003" in messages and "MD005" in messages
     session.insert_facts([Fact(A, ("a",))])
     assert session.certain_answers() == frozenset({()})
 
@@ -284,7 +286,7 @@ def test_off_session_is_silent():
 
 def test_plan_program_strict_refuses_errors():
     with pytest.raises(ProgramAnalysisError):
-        plan_program(seed_md002(), check="strict")
+        plan_program(seed_md002(), PlanPolicy(check="strict"))
     # Default stays off: planning a warning-laden program is fine.
     plan_program(seed_md003())
 

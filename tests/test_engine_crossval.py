@@ -31,8 +31,6 @@ from repro.datalog import (
 from repro.datalog.evaluation import _dpll, ground_clauses
 from repro.engine import (
     ClauseSolver,
-    ParallelEvaluator,
-    ReplicaPool,
     ground_program,
     join_assignments,
     solver_for_clauses,
@@ -268,113 +266,6 @@ def test_incremental_clause_addition_stays_sound(seed):
                 assert any(not model[a] for a in negative) or any(
                     model[a] for a in positive
                 )
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_parallel_evaluate_matches_serial(seed):
-    """Chunked worker-pool candidate decision equals the serial engine for
-    every worker count and chunk size (including the in-process serial
-    fallback at workers=1 and single-candidate chunks that exercise the
-    learned-clause feedback channel)."""
-    rng = random.Random(9000 + seed)
-    goal_arity = rng.choice([0, 1])
-    program = _random_program(rng, goal_arity)
-    instance = _random_instance(rng, [1, 2, 3])
-    serial = evaluate(program, instance)
-    for workers, chunk_size in ((1, 1), (2, 1), (2, 2), (3, None)):
-        got = evaluate(
-            program, instance, parallel=workers, chunk_size=chunk_size
-        )
-        assert got == serial, (workers, chunk_size)
-
-
-def test_parallel_evaluator_decides_batches_and_stays_warm():
-    """One pool decides several batches; per-candidate verdicts match
-    ``holds`` (out-of-nothing candidates included via full product)."""
-    rng = random.Random(424242)
-    program = _random_program(rng, 1)
-    instance = _random_instance(rng, [1, 2, 3])
-    ground = ground_program(program, instance)
-    expected = ground.certain_answers()
-    with ParallelEvaluator(ground, workers=2, chunk_size=2) as evaluator:
-        assert evaluator.certain_answers() == expected
-        domain = sorted(instance.active_domain, key=repr)
-        decided = evaluator.decide([(value,) for value in domain])
-        for value in domain:
-            assert decided[(value,)] == ((value,) in expected)
-        assert evaluator.decide([]) == {}
-
-
-def test_parallel_vacuous_certainty_respects_the_domain():
-    """An inconsistent program makes every adom tuple vacuously certain —
-    but tuples outside the active domain are still never answers, in the
-    parallel path exactly as in the session layer."""
-    program = DisjunctiveDatalogProgram(
-        [
-            Rule((), (Atom(A, (X,)),)),  # any A-fact is inconsistent
-            Rule((goal_atom(X),), (Atom(B, (X,)),)),
-        ]
-    )
-    instance = Instance([Fact(A, (1,)), Fact(B, (2,))])
-    ground = ground_program(program, instance)
-    for workers in (1, 2):
-        with ParallelEvaluator(ground, workers=workers) as evaluator:
-            assert evaluator.certain_answers() == frozenset({(1,), (2,)})
-            decided = evaluator.decide([(1,), (2,), ("ghost",)])
-            assert decided == {(1,): True, (2,): True, ("ghost",): False}
-
-
-def _echo_task(context, chunk, shared):
-    return [(context.payload, item, tuple(shared)) for item in chunk], chunk
-
-
-def test_replica_pool_orders_results_and_accumulates_feedback():
-    """Results come back in chunk order for both the process pool and the
-    serial fallback; feedback from earlier chunks reaches later ones
-    (serial fallback, where dispatch order is deterministic)."""
-    chunks = [("a", "b"), ("c",), ("d",)]
-    with ReplicaPool("payload", workers=1) as pool:
-        results = pool.run(_echo_task, chunks, feedback=True)
-    assert [[item for _, item, _ in chunk] for chunk in results] == [
-        ["a", "b"],
-        ["c"],
-        ["d"],
-    ]
-    assert all(payload == "payload" for chunk in results for payload, _, _ in chunk)
-    # the third chunk saw feedback from the first two
-    assert set(results[2][0][2]) == {"a", "b", "c"}
-    with ReplicaPool("payload", workers=3) as pool:
-        parallel_results = pool.run(_echo_task, chunks)
-    assert [
-        [item for _, item, _ in chunk] for chunk in parallel_results
-    ] == [["a", "b"], ["c"], ["d"]]
-
-
-def test_solver_exports_implied_clauses():
-    """export_clauses round-trips the database into atom form; everything
-    exported is implied by the problem clauses (checked by resolution with
-    the reference DPLL on a small instance)."""
-    atoms = [("v", i) for i in range(4)]
-    clauses = [
-        (frozenset([atoms[0]]), frozenset([atoms[1]])),
-        (frozenset([atoms[1]]), frozenset([atoms[2]])),
-        (frozenset([atoms[0], atoms[2]]), frozenset([atoms[3]])),
-    ]
-    solver = solver_for_clauses(clauses)
-    base = solver.clause_count()
-    assert set(solver.export_clauses(0)) == set(clauses)
-    # force a conflict under assumptions so the solver actually learns
-    assert not solver.solve(true_atoms=[atoms[0]], false_atoms=[atoms[3]])
-    exported = solver.export_clauses(base)
-    assert exported, "the conflicting query should have learned a clause"
-    for negative, positive in exported:
-        # an implied clause: adding its negation makes the set unsatisfiable
-        assert not _dpll(
-            list(clauses)
-            + [(frozenset([a]), frozenset()) for a in positive]
-            + [(frozenset(), frozenset([a])) for a in negative],
-            set(),
-        )
 
 
 def _eval_ground(formula, valuation):

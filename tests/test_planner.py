@@ -30,8 +30,8 @@ from repro.planner import (
     TIER_FIXPOINT,
     TIER_GROUND_SAT,
     TIER_REWRITE,
+    PlanPolicy,
     analyse_program,
-    auto_workers,
     estimate_cost,
     plan_for_tier,
     plan_program,
@@ -49,6 +49,10 @@ EDGE = RelationSymbol("edge", 2)
 P = RelationSymbol("P", 1)
 Q = RelationSymbol("Q", 1)
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+
+#: Pins a program to the ground+CDCL tier, the reference the cheaper tiers
+#: are cross-validated against.
+FORCE_SAT = PlanPolicy(tier=TIER_GROUND_SAT)
 
 
 def _ucq_rewriting_program() -> DisjunctiveDatalogProgram:
@@ -189,7 +193,7 @@ def test_unfolding_handles_idb_chains_and_edb_leaves():
     instance = Instance([Fact(A, (1,)), Fact(Q, (2,)), Fact(EDGE, (1, 3)), Fact(EDGE, (2, 2))])
     assert (
         evaluate(program, instance)
-        == evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+        == evaluate(program, instance, policy=FORCE_SAT)
         == frozenset({(1,), (2,)})
     )
 
@@ -209,7 +213,7 @@ def test_unfolding_drops_branches_on_constant_clash():
     instance = Instance([Fact(A, (9,)), Fact(EDGE, ("c", "d"))])
     assert (
         evaluate(program, instance)
-        == evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+        == evaluate(program, instance, policy=FORCE_SAT)
         == frozenset({("c",)})
     )
     clashing = DisjunctiveDatalogProgram(
@@ -221,7 +225,7 @@ def test_unfolding_drops_branches_on_constant_clash():
     unfolded = unfold_to_ucq(clashing)
     assert unfolded is not None and unfolded.goal_disjuncts == ()
     assert evaluate(clashing, instance) == evaluate(
-        clashing, instance, force_tier=TIER_GROUND_SAT
+        clashing, instance, policy=FORCE_SAT
     )
 
 
@@ -246,7 +250,7 @@ def test_unfolding_unifies_repeated_head_variables_and_constants():
     )
     plan = plan_program(program)
     assert plan.tier == TIER_REWRITE
-    expected = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+    expected = evaluate(program, instance, policy=FORCE_SAT)
     assert evaluate(program, instance) == expected == frozenset({(1,), (2,)})
 
 
@@ -273,7 +277,7 @@ def test_adom_only_variables_and_boolean_goals():
     instance = Instance([Fact(A, (1,))])
     assert (
         evaluate(program, instance)
-        == evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+        == evaluate(program, instance, policy=FORCE_SAT)
         == frozenset({()})
     )
     unary = DisjunctiveDatalogProgram(
@@ -281,7 +285,7 @@ def test_adom_only_variables_and_boolean_goals():
     )
     assert plan_program(unary).tier == TIER_REWRITE
     instance = Instance([Fact(A, (1,)), Fact(EDGE, (2, 3))])
-    expected = evaluate(unary, instance, force_tier=TIER_GROUND_SAT)
+    expected = evaluate(unary, instance, policy=FORCE_SAT)
     assert evaluate(unary, instance) == expected
     assert expected == frozenset({(1,), (2,), (3,)})
 
@@ -314,7 +318,7 @@ def test_forcing_tier0_on_recursive_programs_raises():
     assert plan_program(pure_cycle).tier == TIER_FIXPOINT
     instance = Instance([Fact(A, (1,))])
     assert evaluate(pure_cycle, instance) == evaluate(
-        pure_cycle, instance, force_tier=TIER_GROUND_SAT
+        pure_cycle, instance, policy=FORCE_SAT
     )
 
 
@@ -333,8 +337,6 @@ def test_cost_estimates_come_from_index_statistics():
     assert estimate.candidates == 20  # unary goal
     assert estimate.join_cost > 0
     assert estimate.describe()["candidates"] == 20
-    assert auto_workers(estimate.tier2_work_score) is None  # tiny problem
-    assert auto_workers(10**9) >= 1
 
 
 def test_position_value_count_matches_position_values():
@@ -410,7 +412,7 @@ def test_forced_tiers_agree_with_model_enumeration(seed):
             plan_for_tier(program, tier)
         except ValueError:
             continue
-        assert evaluate(program, instance, force_tier=tier) == expected, tier
+        assert evaluate(program, instance, policy=PlanPolicy(tier=tier)) == expected, tier
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -419,14 +421,14 @@ def test_forced_tiers_agree_on_larger_instances(seed):
     goal_arity = rng.choice([0, 1])
     program = _random_horn_program(rng, goal_arity)
     instance = _random_instance(rng, list(range(1, 6)))
-    reference = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+    reference = evaluate(program, instance, policy=FORCE_SAT)
     assert evaluate(program, instance) == reference
     for tier in (TIER_REWRITE, TIER_FIXPOINT):
         try:
             plan_for_tier(program, tier)
         except ValueError:
             continue
-        assert evaluate(program, instance, force_tier=tier) == reference, tier
+        assert evaluate(program, instance, policy=PlanPolicy(tier=tier)) == reference, tier
 
 
 def test_vacuous_certainty_parity_across_tiers():
@@ -441,9 +443,9 @@ def test_vacuous_certainty_parity_across_tiers():
     instance = Instance([Fact(A, (1,)), Fact(EDGE, (2, 3))])
     expected = frozenset({(1,), (2,), (3,)})
     for tier in (TIER_REWRITE, TIER_FIXPOINT, TIER_GROUND_SAT):
-        assert evaluate(program, instance, force_tier=tier) == expected, tier
+        assert evaluate(program, instance, policy=PlanPolicy(tier=tier)) == expected, tier
     for tier in (None, TIER_REWRITE, TIER_FIXPOINT, TIER_GROUND_SAT):
-        session = ObdaSession(program, force_tier=tier)
+        session = ObdaSession(program, policy=PlanPolicy(tier=tier))
         session.insert_facts(instance.facts)
         assert not session.is_consistent()
         assert session.certain_answers() == expected, tier
@@ -478,11 +480,12 @@ def test_session_states_match_plan_tiers():
 
 def test_session_force_tier_overrides_routing():
     program = _ucq_rewriting_program()
-    session = ObdaSession(program, force_tier=TIER_GROUND_SAT)
+    session = ObdaSession(program, policy=FORCE_SAT)
     assert isinstance(session._state(None), _SatState)
     with pytest.raises(ValueError):
         ObdaSession(
-            csp_to_mddlog(three_colourability_template()), force_tier=TIER_REWRITE
+            csp_to_mddlog(three_colourability_template()),
+            policy=PlanPolicy(tier=TIER_REWRITE),
         )
 
 
@@ -584,8 +587,3 @@ def test_serve_omq_workload_sessions_are_planned():
     sharded = serve_omq_workload(_rewriting_program(), shards=2)
     assert sharded.plan().tier == TIER_FIXPOINT
 
-
-def test_evaluate_accepts_auto_parallel():
-    program = csp_to_mddlog(three_colourability_template())
-    instance = Instance([Fact(EDGE, (1, 2)), Fact(EDGE, (2, 3)), Fact(EDGE, (3, 1))])
-    assert evaluate(program, instance, parallel="auto") == evaluate(program, instance)

@@ -5,7 +5,7 @@ end: Theorem 3.3 compilations of FO-/datalog-rewritable atomic OMQs route
 off SAT onto constructed rewritings (obstruction-set UCQs on tier 0,
 canonical datalog on tier 1) with answers cross-validated against the
 ground+CDCL engine; budget exhaustion, inapplicability, missing tree
-duality and ``force_tier`` all keep (or pin) the program on tier 2 with an
+duality and a forced tier all keep (or pin) the program on tier 2 with an
 explainable rationale.
 """
 
@@ -26,6 +26,7 @@ from repro.planner import (
     TIER_FIXPOINT,
     TIER_GROUND_SAT,
     TIER_REWRITE,
+    PlanPolicy,
     SemanticBudget,
     cross_validate,
     plan_for_tier,
@@ -46,6 +47,10 @@ LISTERIOSIS = RelationSymbol("Listeriosis", 1)
 BACTERIAL = RelationSymbol("BacterialInfection", 1)
 PREDISPOSITION = RelationSymbol("HereditaryPredisposition", 1)
 EDGE = RelationSymbol("edge", 2)
+
+#: Pins a program to the ground+CDCL tier: the reference every semantic
+#: route is cross-validated against.
+FORCE_SAT = PlanPolicy(tier=TIER_GROUND_SAT)
 
 
 def fo_rewritable_omq() -> OntologyMediatedQuery:
@@ -120,7 +125,7 @@ def ancestry_chain(depth: int, predisposed_root: bool = True) -> Instance:
 
 def test_compiled_fo_rewritable_routes_to_tier0():
     program = compile_to_mddlog(fo_rewritable_omq())
-    assert plan_program(program, semantic=False).tier == TIER_GROUND_SAT
+    assert plan_program(program, PlanPolicy(semantic=False)).tier == TIER_GROUND_SAT
     plan = plan_program(program)
     assert plan.tier == TIER_REWRITE
     assert plan.skips_sat
@@ -137,7 +142,7 @@ def test_compiled_fo_rewritable_answers_match_forced_tier2():
     program = compile_to_mddlog(fo_rewritable_omq())
     instance = medical_fo_instance()
     routed = evaluate(program, instance)
-    forced = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+    forced = evaluate(program, instance, policy=FORCE_SAT)
     assert routed == forced == frozenset({("d1",), ("d2",), ("p3",)})
 
 
@@ -161,7 +166,7 @@ def test_compiled_datalog_rewritable_answers_match_on_deep_chains():
     for depth, predisposed in [(6, True), (6, False), (10, True)]:
         instance = ancestry_chain(depth, predisposed)
         routed = evaluate(program, instance)
-        forced = evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+        forced = evaluate(program, instance, policy=FORCE_SAT)
         assert routed == forced
         if predisposed:
             assert (f"g{0}",) in routed
@@ -181,7 +186,7 @@ def test_cross_validate_is_a_public_hook():
 def test_exhausted_time_budget_routes_to_tier2_with_rationale():
     program = compile_to_mddlog(fo_rewritable_omq())
     budget = SemanticBudget(time_budget_s=0.0)
-    plan = plan_program(program, budget=budget)
+    plan = plan_program(program, PlanPolicy(semantic_budget=budget))
     assert plan.tier == TIER_GROUND_SAT
     assert plan.semantic is not None and not plan.semantic.applicable
     assert "semantic budget exceeded" in plan.semantic.rationale
@@ -191,7 +196,7 @@ def test_exhausted_time_budget_routes_to_tier2_with_rationale():
 def test_size_gate_routes_to_tier2_with_rationale():
     program = compile_to_mddlog(fo_rewritable_omq())
     budget = SemanticBudget(max_template_elements=1)
-    plan = plan_program(program, budget=budget)
+    plan = plan_program(program, PlanPolicy(semantic_budget=budget))
     assert plan.tier == TIER_GROUND_SAT
     assert "semantic budget exceeded" in plan.semantic.rationale
     assert "element" in plan.semantic.rationale
@@ -201,15 +206,16 @@ def test_budget_gated_plan_still_serves_identical_answers():
     program = compile_to_mddlog(fo_rewritable_omq())
     budget = SemanticBudget(time_budget_s=0.0)
     instance = medical_fo_instance()
-    gated = evaluate(program, instance, semantic_budget=budget)
-    assert gated == evaluate(program, instance, force_tier=TIER_GROUND_SAT)
+    gated = evaluate(program, instance, PlanPolicy(semantic_budget=budget))
+    assert gated == evaluate(program, instance, policy=FORCE_SAT)
 
 
 def test_semantic_plans_cached_per_budget():
     program = compile_to_mddlog(fo_rewritable_omq())
     gated = SemanticBudget(max_template_elements=1)  # deterministic size gate
-    assert plan_program(program, budget=gated) is plan_program(program, budget=gated)
-    assert plan_program(program).tier != plan_program(program, budget=gated).tier
+    first = plan_program(program, PlanPolicy(semantic_budget=gated))
+    assert plan_program(program, PlanPolicy(semantic_budget=gated)) is first
+    assert plan_program(program).tier != first.tier
 
 
 def test_transient_deadline_verdicts_are_not_cached():
@@ -218,10 +224,10 @@ def test_transient_deadline_verdicts_are_not_cached():
     instead of pinning the query to tier 2 forever."""
     program = compile_to_mddlog(fo_rewritable_omq())
     tight = SemanticBudget(time_budget_s=0.0)
-    first = plan_program(program, budget=tight)
+    first = plan_program(program, PlanPolicy(semantic_budget=tight))
     assert first.tier == TIER_GROUND_SAT and first.semantic.transient
     assert "transient" in first.semantic.describe()
-    second = plan_program(program, budget=tight)
+    second = plan_program(program, PlanPolicy(semantic_budget=tight))
     assert second is not first  # re-analysed, not served from cache
     # ...and a later call with a sane budget recovers the rewriting.
     assert plan_program(program).tier == TIER_REWRITE
@@ -269,16 +275,14 @@ def test_force_tier_overrides_semantic_routing():
     forced = plan_for_tier(program, TIER_GROUND_SAT)
     assert forced.tier == TIER_GROUND_SAT and forced.rewritten is None
     instance = medical_fo_instance()
-    assert evaluate(program, instance, force_tier=TIER_GROUND_SAT) == evaluate(
-        program, instance
-    )
-    session = ObdaSession(program, force_tier=TIER_GROUND_SAT)
+    assert evaluate(program, instance, policy=FORCE_SAT) == evaluate(program, instance)
+    session = ObdaSession(program, policy=FORCE_SAT)
     assert isinstance(session._state(None), _SatState)
 
 
 def test_semantic_disabled_keeps_syntactic_plan():
     program = compile_to_mddlog(fo_rewritable_omq())
-    plan = plan_program(program, semantic=False)
+    plan = plan_program(program, PlanPolicy(semantic=False))
     assert plan.tier == TIER_GROUND_SAT
     assert plan.semantic is None and plan.rewritten is None
 
@@ -315,13 +319,15 @@ def test_bridge_routes_unhinted_fo_program():
         ]
         instance = Instance(facts)
         assert evaluate(program, instance) == evaluate(
-            program, instance, force_tier=TIER_GROUND_SAT
+            program, instance, policy=FORCE_SAT
         )
 
 
 def test_bridge_disabled_by_budget():
     program = csp_to_mddlog(arrow_template())
-    plan = plan_program(program, budget=SemanticBudget(bridge=False))
+    plan = plan_program(
+        program, PlanPolicy(semantic_budget=SemanticBudget(bridge=False))
+    )
     assert plan.tier == TIER_GROUND_SAT
     assert "bridge is disabled" in plan.semantic.rationale
 
@@ -375,7 +381,7 @@ def test_session_serves_semantic_tier0_state():
     explanation = session.explain()["queries"]["q"]
     assert explanation["tier"] == TIER_REWRITE
     assert explanation["semantic"]["rewriting"] == "obstruction-ucq"
-    forced = ObdaSession(program, force_tier=TIER_GROUND_SAT)
+    forced = ObdaSession(program, policy=FORCE_SAT)
     universe = sorted(medical_fo_instance().facts, key=str)
     rng = random.Random(17)
     live: set[Fact] = set()
@@ -400,7 +406,7 @@ def test_session_serves_semantic_tier1_state_with_deletions():
     program = compile_to_mddlog(datalog_rewritable_omq())
     session = ObdaSession(program)
     assert isinstance(session._state(None), _FixpointState)
-    forced = ObdaSession(program, force_tier=TIER_GROUND_SAT)
+    forced = ObdaSession(program, policy=FORCE_SAT)
     chain = sorted(ancestry_chain(4).facts, key=str)
     session.insert_facts(chain)
     forced.insert_facts(chain)
@@ -439,12 +445,15 @@ def test_serve_and_plan_workload_expose_semantic_routing():
     )
     assert plans["fo"].tier == TIER_REWRITE
     assert plans["datalog"].tier == TIER_FIXPOINT
-    syntactic = plan_omq_workload({"fo": fo_rewritable_omq()}, semantic=False)
+    syntactic = plan_omq_workload(
+        {"fo": fo_rewritable_omq()}, PlanPolicy(semantic=False)
+    )
     assert syntactic["fo"].tier == TIER_GROUND_SAT
     session = serve_omq_workload(fo_rewritable_omq())
     assert session.plan().tier == TIER_REWRITE
     gated = serve_omq_workload(
-        fo_rewritable_omq(), semantic_budget=SemanticBudget(time_budget_s=0.0)
+        fo_rewritable_omq(),
+        policy=PlanPolicy(semantic_budget=SemanticBudget(time_budget_s=0.0)),
     )
     assert gated.plan().tier == TIER_GROUND_SAT
 
@@ -489,7 +498,7 @@ def test_semantic_tier0_plans_report_inconsistency():
     viral = RelationSymbol("Viral", 1)
     facts = [Fact(LYME, ("a",)), Fact(viral, ("a",)), Fact(EDGE, ("p", "q"))]
     routed = ObdaSession(program, initial_facts=facts)
-    forced = ObdaSession(program, initial_facts=facts, force_tier=TIER_GROUND_SAT)
+    forced = ObdaSession(program, initial_facts=facts, policy=FORCE_SAT)
     assert routed.is_consistent() is forced.is_consistent() is False
     assert (
         routed.certain_answers()
@@ -557,7 +566,7 @@ def test_semantic_tier1_plans_report_inconsistency():
         Fact(clear, ("g0",)),
     ]
     routed = ObdaSession(program, initial_facts=facts)
-    forced = ObdaSession(program, initial_facts=facts, force_tier=TIER_GROUND_SAT)
+    forced = ObdaSession(program, initial_facts=facts, policy=FORCE_SAT)
     assert routed.is_consistent() is forced.is_consistent() is False
     assert routed.certain_answers() == forced.certain_answers()
     routed.delete_facts([Fact(clear, ("g0",))])
@@ -581,7 +590,7 @@ def test_randomized_streams_match_forced_tier2(seed):
             Fact(HAS_PARENT, (a, b)) for a in "uvw" for b in "uvw" if a != b
         ]
     session = ObdaSession(program)
-    forced = ObdaSession(program, force_tier=TIER_GROUND_SAT)
+    forced = ObdaSession(program, policy=FORCE_SAT)
     live: set[Fact] = set()
     for _ in range(15):
         free = [f for f in universe if f not in live]

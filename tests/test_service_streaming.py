@@ -17,6 +17,7 @@ from repro.datalog import DisjunctiveDatalogProgram, Rule, adom_atom, goal_atom
 from repro.datalog.plain import DatalogProgram
 from repro.engine.grounder import ground_program
 from repro.omq.certain import compile_to_mddlog
+from repro.planner import PlanPolicy
 from repro.service import (
     IncrementalFixpoint,
     ObdaSession,
@@ -32,6 +33,11 @@ from repro.service.session import _FixpointState, _SatState
 from repro.translations.csp_templates import csp_to_mddlog
 from repro.workloads.csp_zoo import two_colourability_template
 from repro.workloads.medical import example_2_1_omq, patient_instance
+
+#: Random programs legitimately trip analyzer warnings (MD003/MD005/...);
+#: these suites cross-check answers, so their sessions skip the analyzer
+#: (``tests/test_analysis.py`` covers the warn mode).
+UNCHECKED = PlanPolicy(check="off")
 
 A = RelationSymbol("A", 1)
 B = RelationSymbol("B", 1)
@@ -121,7 +127,7 @@ def _run_stream(rng, session, universe, steps, check_every=1):
 def test_random_streams_match_from_scratch(seed):
     rng = random.Random(seed)
     program = _random_program(rng, rng.choice([0, 1]))
-    session = ObdaSession(program)
+    session = ObdaSession(program, policy=UNCHECKED)
     _run_stream(rng, session, _fact_universe([1, 2, 3]), steps=18)
 
 
@@ -202,7 +208,7 @@ def test_sharded_streams_match_from_scratch(seed):
     rng = random.Random(400 + seed)
     program = _random_shardable_program(rng, rng.choice([0, 1]))
     shards = rng.choice([1, 2, 3])
-    session = ShardedObdaSession(program, shards=shards)
+    session = ShardedObdaSession(program, shards=shards, policy=UNCHECKED)
     universe = _fact_universe([1, 2, 3, 4])
     live: set = set()
     for step in range(16):
@@ -332,7 +338,7 @@ def test_sharded_inconsistency_is_globally_vacuous():
 def test_sharded_compact_preserves_answers():
     rng = random.Random(77)
     program = _random_shardable_program(rng, 1)
-    session = ShardedObdaSession(program, shards=2)
+    session = ShardedObdaSession(program, shards=2, policy=UNCHECKED)
     universe = _fact_universe([1, 2, 3])
     session.insert_facts(rng.sample(universe, 8))
     session.delete_facts(rng.sample(sorted(session.instance, key=str), 3))

@@ -1,6 +1,6 @@
 """Repo-invariant AST lint: the rules ruff has no vocabulary for.
 
-Five invariants keep the engine's observability honest and its core
+Four invariants keep the engine's observability honest and its core
 encapsulated; each is enforced over ``src/`` by CI's static-analysis job::
 
     python tools/lint_invariants.py src
@@ -19,12 +19,6 @@ encapsulated; each is enforced over ``src/`` by CI's static-analysis job::
 * **RL004** — ``Instance`` internals (``_facts``, ``_by_relation``, ...)
   are dereferenced only on ``self``/``cls`` or inside ``repro/core``:
   the columnar layout is ``core``'s private business.
-* **RL005** — sessions inside ``src/`` are constructed through the
-  unified ``PlanPolicy`` object: ``ObdaSession(...)`` /
-  ``ShardedObdaSession(...)`` calls carrying the deprecated legacy
-  keywords (``force_tier=``, ``semantic=``, ``semantic_budget=``,
-  ``check=``) are flagged — the aliases exist for *external* callers
-  mid-migration, not for the library itself.
 
 A finding can be waived on its own line with ``# lint: allow(RL00x)``.
 """
@@ -56,11 +50,6 @@ PRIVATE_INSTANCE_ATTRS = frozenset(
 )
 #: Telemetry recorder methods that must sit behind the one-load guard.
 GUARDED_METHODS = frozenset({"count", "record", "event", "span"})
-#: Session constructors covered by RL005 and the keywords they deprecate.
-SESSION_CONSTRUCTORS = frozenset({"ObdaSession", "ShardedObdaSession"})
-LEGACY_SESSION_KWARGS = frozenset(
-    {"force_tier", "semantic", "semantic_budget", "check"}
-)
 
 
 @dataclass(frozen=True)
@@ -234,27 +223,6 @@ def lint_file(path: Path) -> list[Violation]:
                         "scopes — hoist it or use a counter/histogram",
                     )
                     break
-        # RL005 — no legacy-kwarg session construction inside src/.
-        constructor = node.func
-        constructor_name = (
-            constructor.id
-            if isinstance(constructor, ast.Name)
-            else constructor.attr if isinstance(constructor, ast.Attribute) else None
-        )
-        if constructor_name in SESSION_CONSTRUCTORS:
-            legacy = sorted(
-                keyword.arg
-                for keyword in node.keywords
-                if keyword.arg in LEGACY_SESSION_KWARGS
-            )
-            if legacy:
-                report(
-                    node,
-                    "RL005",
-                    f"{constructor_name}(...) built with deprecated "
-                    f"keyword(s) {', '.join(legacy)}; pass "
-                    "policy=PlanPolicy(...) instead",
-                )
         # RL003 — recorder calls behind the one-load guard.
         function = getattr(node, "_function", None)
         if (
