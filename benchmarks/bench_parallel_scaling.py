@@ -6,9 +6,13 @@ join facts across data components.  `ShardedObdaSession` exploits both:
 the Table 1 medical workload is consistent-hash-partitioned across 1/2/4
 per-shard sessions and driven through a churn-and-query serving stream
 (bulk load, then delete / re-insert epochs with certain-answer queries
-after every update).  The per-candidate solve cost is proportional to the
-shard's clause database, so sharding is an *algorithmic* win — the curve
-below holds even on a single core, with every shard in one process.
+after every update), with every shard in one process.  Sharding makes
+the queries cheaper (each solve propagates one shard's slice) and the
+updates dearer (routing and component migrations).  Since tier-2 queries
+cost one solve plus one per certain answer, rather than one per
+candidate, the single-core curve measures 0.8-1.2x at 4 shards and the
+timed gate below fails; whether sharding still has a measured
+single-core win is an open question.
 
 Acceptance: 4-shard serving must be ≥ 1.5x over 1-shard on the Table
 1-scale workload, with identical certain answers at every epoch (the

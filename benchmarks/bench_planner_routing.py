@@ -170,7 +170,7 @@ def test_planner_tier0_medical_stream(benchmark):
 
 def test_planner_tier1_rewriting_stream(benchmark):
     """Table 1 q2 (datalog rewriting) routes to tier 1: DRed-maintained
-    fixpoint beats per-candidate solving by ≥ 3x."""
+    fixpoint beats forced tier-2 solving by ≥ 3x."""
     events = random_stream(
         medical_universe(patients=0, generations=150),
         length=100,

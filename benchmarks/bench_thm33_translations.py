@@ -47,7 +47,7 @@ def test_thm33_mddlog_certain_answer_evaluation(benchmark):
     """E-33 hot path: certain answers of the translated MDDlog program.
 
     Exercises the engine end-to-end — join-planned grounding of the
-    translated program (thousands of rules) and incremental per-candidate
+    translated program (thousands of rules) and incremental candidate
     solving — on the paper's patient data.
     """
     omq = example_2_1_omq()

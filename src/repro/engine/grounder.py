@@ -6,9 +6,11 @@ selectivity-ordered join (:mod:`repro.engine.joins`) instead of a cartesian
 enumeration, remaining variables range over the active domain, and the
 resulting clauses are deduplicated and subsumption-reduced before solving.
 The ground clause set is then loaded once into a persistent
-:class:`~repro.engine.sat.ClauseSolver`, and every certain-answer query —
-one per candidate tuple — is an assumption-literal ``solve`` against that
-shared state.
+:class:`~repro.engine.sat.ClauseSolver`, and :func:`certain_goal_atoms`
+decides all candidate tuples against that shared state: a screening solve
+that branches on every candidate's goal atom false first, then one
+assumption-literal ``solve`` per candidate the models have not refuted.
+Serving sessions run the same routine on their live solvers.
 """
 
 from __future__ import annotations
@@ -358,30 +360,45 @@ class GroundProgram:
         return not self.has_model_avoiding([tuple(answer)])
 
     def certain_answers(self) -> frozenset[tuple]:
-        """All certain answers, deciding each candidate incrementally.
+        """All certain answers, decided by :func:`certain_goal_atoms`.
 
-        The first (assumption-free) model is reused to screen candidates: a
-        goal atom already false in it has a counter-model and needs no second
-        solver call.  With the solver's false-first phase this dismisses most
-        non-answers with a single search.
+        With no model at all, every tuple is (vacuously) certain.
         """
         domain = sorted(self.instance.active_domain, key=repr)
-        arity = self.program.arity
-        candidates = itertools.product(domain, repeat=arity)
-        solver = self.solver
-        if not solver.solve():
-            # No model at all: every tuple is (vacuously) certain.
+        candidates = list(itertools.product(domain, repeat=self.program.arity))
+        certain = certain_goal_atoms(self.solver, self._goal_atoms(candidates))
+        if certain is None:
             return frozenset(candidates)
-        model = solver.last_model
-        goal = self.program.goal_relation
-        answers: set[tuple] = set()
-        for candidate in candidates:
-            atom = (goal, candidate)
-            if not model.get(atom, False):
-                continue
-            if not solver.solve(false_atoms=[atom]):
-                answers.add(candidate)
-        return frozenset(answers)
+        return frozenset(arguments for _, arguments in certain)
+
+
+def certain_goal_atoms(
+    solver: ClauseSolver, goal_atoms: Iterable[GroundAtom]
+) -> set[GroundAtom] | None:
+    """The goal atoms true in every model, or ``None`` when there is none.
+
+    The one candidate-decision loop of tier 2.  A screening solve prefers
+    every goal atom false; then, while atoms remain, one solve assumes one
+    of them false and prefers the rest false.  UNSAT makes that atom
+    certain; every model drops each atom it leaves false, since it is a
+    counter-model for them.  With the goal atoms decided first, the models
+    usually refute every non-answer, so a query costs one solve plus one
+    per certain atom.
+    """
+    pending = list(dict.fromkeys(goal_atoms))
+    if not solver.solve(prefer_false=pending):
+        return None
+    certain: set[GroundAtom] = set()
+    model = solver.last_model
+    pending = [atom for atom in pending if model.get(atom, False)]
+    while pending:
+        atom = pending.pop()
+        if solver.solve(false_atoms=[atom], prefer_false=pending):
+            model = solver.last_model
+            pending = [other for other in pending if model.get(other, False)]
+        else:
+            certain.add(atom)
+    return certain
 
 
 def ground_program(

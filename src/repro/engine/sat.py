@@ -73,7 +73,9 @@ class ClauseSolver:
     conflict analysis with non-chronological backjumping, and a decaying
     activity heuristic; decisions prefer the negative phase, which steers
     satisfying assignments towards minimal models — the natural choice when
-    searching for counter-models of certain answers.
+    searching for counter-models of certain answers.  Atoms a :meth:`solve`
+    call names in ``prefer_false`` are the first decisions after the
+    assumptions, in list order; the activity order comes after them.
 
     Assumptions are handled MiniSat-style: they occupy the first decision
     levels and are re-asserted after backjumps, so learned clauses carry over
@@ -343,6 +345,7 @@ class ClauseSolver:
         self,
         false_atoms: Iterable[Atom] = (),
         true_atoms: Iterable[Atom] = (),
+        prefer_false: Sequence[Atom] = (),
     ) -> bool:
         """Satisfiability under the assumptions; solver state survives the call.
 
@@ -350,20 +353,25 @@ class ClauseSolver:
         per-call atoms.  Atoms never mentioned in a clause are unconstrained,
         so assuming them true/false cannot conflict and they are skipped
         (except that mutually contradictory assumptions still answer False).
+
+        ``prefer_false`` is a branching hint, not an assumption: its atoms
+        are the first decisions, each set false in list order, but a
+        conflict may still flip any of them, so the verdict is the same with
+        or without the hint — only which model ``last_model`` holds changes.
         """
         stats = self.stats
         stats.solve_calls += 1
         stats.restarts += 1  # every call restarts search from the root level
         tel = _telemetry.ACTIVE
         if tel is None:
-            return self._solve(false_atoms, true_atoms)
+            return self._solve(false_atoms, true_atoms, prefer_false)
         before = (
             stats.conflicts,
             stats.propagations,
             stats.decisions,
             stats.learned_clauses,
         )
-        result = self._solve(false_atoms, true_atoms)
+        result = self._solve(false_atoms, true_atoms, prefer_false)
         tel.count("sat.solve_calls")
         tel.count("sat.restarts")
         tel.count("sat.conflicts", stats.conflicts - before[0])
@@ -376,6 +384,7 @@ class ClauseSolver:
         self,
         false_atoms: Iterable[Atom],
         true_atoms: Iterable[Atom],
+        prefer_false: Sequence[Atom],
     ) -> bool:
         self._backtrack(0)
         if not self._ok or self._propagate() is not None:
@@ -396,7 +405,8 @@ class ClauseSolver:
             if atom in self._var_of:
                 var = self._var_of[atom]
                 assumptions.append(var << 1 if polarity else (var << 1) | 1)
-        result = self._search(assumptions)
+        preferred = [self._var_of[a] for a in prefer_false if a in self._var_of]
+        result = self._search(assumptions, preferred)
         if result:
             self.last_model = {
                 atom: self._assign[var] > 0
@@ -405,7 +415,13 @@ class ClauseSolver:
         self._backtrack(0)
         return result
 
-    def _search(self, assumptions: list[int]) -> bool:
+    def _search(self, assumptions: list[int], preferred: list[int]) -> bool:
+        # Every preferred variable before ``cursor`` is assigned.  ``marks``
+        # holds the cursor as it stood when each decision level opened, so
+        # a backjump to level b restores ``marks[b]``: the variables before
+        # it were assigned at levels <= b and survive the backjump.
+        cursor = 0
+        marks: list[int] = []
         while True:
             conflict = self._propagate()
             if conflict is None:
@@ -416,13 +432,20 @@ class ClauseSolver:
                     value = self._lit_value(lit)
                     if value < 0:
                         return False
+                    marks.append(cursor)
                     self._new_level()
                     if value == 0:
                         self._assign_lit(lit, None)
                     continue
-                var = self._pick_branch()
-                if var is None:
-                    return True
+                while cursor < len(preferred) and self._assign[preferred[cursor]]:
+                    cursor += 1
+                if cursor < len(preferred):
+                    var = preferred[cursor]
+                else:
+                    var = self._pick_branch()
+                    if var is None:
+                        return True
+                marks.append(cursor)
                 self._new_level()
                 self._assign_lit((var << 1) | 1, None)  # negative phase first
                 self.stats.decisions += 1
@@ -435,6 +458,8 @@ class ClauseSolver:
             self.stats.learned_clauses += 1
             self.stats.learned_literals += len(learned)
             self._backtrack(backjump)
+            cursor = marks[backjump]
+            del marks[backjump:]
             if len(learned) == 1:
                 self._assign_lit(learned[0], None)
             else:

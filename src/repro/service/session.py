@@ -22,8 +22,8 @@ Each compiled query is routed by the tiered planner
   support-guarded delta grounding
   (:class:`repro.service.delta.DeltaGrounder`): insertions push only the
   newly justified clauses, deletions retract the facts' guard assumptions,
-  and certain answers are assumption queries against the warm solver with
-  all learned clauses intact.
+  and :func:`~repro.engine.grounder.certain_goal_atoms` decides the
+  candidates on the warm solver, with all learned clauses intact.
 
 Answers after every update are identical to a from-scratch recomputation
 over the current instance (the streaming test-suite cross-validates this on
@@ -48,6 +48,7 @@ from typing import Iterable, Mapping, Sequence
 from ..analysis import vet_program
 from ..core.instance import Fact, Instance
 from ..datalog.ddlog import DisjunctiveDatalogProgram
+from ..engine.grounder import certain_goal_atoms, ground_program
 from ..engine.sat import ClauseSolver
 from ..obs import telemetry as _telemetry
 from ..omq.query import OntologyMediatedQuery
@@ -87,7 +88,11 @@ def _compile(entry) -> DisjunctiveDatalogProgram:
 
 
 class _SatState:
-    """Tier 2: guarded ground program + persistent CDCL solver for one query."""
+    """Tier 2: guarded ground program + persistent CDCL solver for one query.
+
+    ``_consistent`` keeps the last assumption-free verdict (a screening
+    solve or a consistency check) until the next insert or delete.
+    """
 
     def __init__(self, plan: QueryPlan) -> None:
         self.plan = plan
@@ -96,8 +101,10 @@ class _SatState:
         self.solver = ClauseSolver()
         for negative, positive in self.grounder.bootstrap_clauses():
             self.solver.add_clause(negative, positive)
+        self._consistent: bool | None = None
 
     def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
+        self._consistent = None
         clauses = self.grounder.insert(old, delta, new)
         for negative, positive in clauses:
             self.solver.add_clause(negative, positive)
@@ -106,6 +113,7 @@ class _SatState:
         return len(clauses)
 
     def delete(self, removed: Iterable[Fact]) -> None:
+        self._consistent = None
         for fact in removed:
             self.solver.retract_assumption(fact_guard(fact))
 
@@ -116,32 +124,28 @@ class _SatState:
         return frozenset(c for c, certain in decided.items() if certain)
 
     def is_consistent(self, instance: Instance) -> bool:
-        return self.solver.solve()
+        if self._consistent is None:
+            self._consistent = self.solver.solve()
+        return self._consistent
 
     def decide_batch(
         self, instance: Instance, candidates: Sequence[tuple]
     ) -> dict[tuple, bool]:
         goal = self.program.goal_relation
         adom = instance.active_domain
-        if not self.solver.solve():
+        # Candidates outside the active domain are never answers.
+        atoms = [
+            (goal, candidate)
+            for candidate in candidates
+            if all(value in adom for value in candidate)
+        ]
+        certain = certain_goal_atoms(self.solver, atoms)
+        self._consistent = certain is not None
+        if certain is None:
             # No model extends the data at all: every tuple over the active
-            # domain is vacuously certain (mirrors
-            # GroundProgram.certain_answers, which only enumerates adom
-            # tuples; candidates outside it are never answers).
+            # domain is vacuously certain.
             return vacuous_decisions(instance, candidates)
-        model = self.solver.last_model
-        decided: dict[tuple, bool] = {}
-        for candidate in candidates:
-            if any(value not in adom for value in candidate):
-                decided[candidate] = False
-                continue
-            atom = (goal, candidate)
-            if not model.get(atom, False):
-                # The screening model is already a counter-model.
-                decided[candidate] = False
-                continue
-            decided[candidate] = not self.solver.solve(false_atoms=[atom])
-        return decided
+        return {candidate: (goal, candidate) in certain for candidate in candidates}
 
     def is_certain(self, instance: Instance, answer: tuple) -> bool:
         return self.decide_batch(instance, [answer])[answer]
@@ -253,8 +257,6 @@ def evaluate_plan_at(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
         return _UcqState(plan).certain_answers(instance)
     if plan.tier == TIER_FIXPOINT:
         return _FixpointState(plan, instance=instance).certain_answers(instance)
-    from ..engine.grounder import ground_program
-
     return ground_program(plan.program, instance).certain_answers()
 
 

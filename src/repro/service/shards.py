@@ -7,10 +7,11 @@ the EDB fact stream across ``shards`` independent per-shard sessions and
 merges their certain answers.  Each shard holds the *same* compiled
 workload (programs are compiled once and shared) over a *disjoint* slice of
 the data, so grounding, delta maintenance and candidate decisions all run
-against instances a fraction of the global size; because both grounding and
-per-candidate solving are superlinear in instance size, sharding is a
-genuine algorithmic win even before the shards are placed on separate
-cores or machines.
+against instances a fraction of the global size.  On one core that makes
+queries cheaper (each solve propagates one shard's slice), while routing
+and component migrations make updates dearer.  On the Table 1 stream of
+``benchmarks/bench_parallel_scaling.py``, four in-process shards measure
+0.8-1.2x over one, so sharding shows no measured single-core win.
 
 **Routing.**  Certain answers only merge correctly when facts that share a
 constant land on the same shard (their rule instantiations join).  The
@@ -574,18 +575,21 @@ class ShardedObdaSession:
     # -- queries ---------------------------------------------------------------
 
     def _vacuous(self, name: str | None) -> bool:
-        """No model extends some shard's data — everything is certain."""
+        """No model extends some shard's data — everything is certain.
+
+        Ask it after the shards answer: tier-2 shards reuse that verdict.
+        """
         return any(
             not session.is_consistent(name) for session in self._sessions
         )
 
     def certain_answers(self, name: str | None = None) -> frozenset[tuple]:
         """The certain answers of the (named) query on the union instance."""
-        if self._vacuous(name):
-            return vacuous_answers(self.instance, self.program(name).arity)
         merged: set[tuple] = set()
         for session in self._sessions:
             merged |= session.certain_answers(name)
+        if self._vacuous(name):
+            return vacuous_answers(self.instance, self.program(name).arity)
         return frozenset(merged)
 
     def answer_batch(
@@ -600,8 +604,6 @@ class ShardedObdaSession:
         constants) is never certain unless some shard is inconsistent.
         """
         batch = [tuple(candidate) for candidate in candidates]
-        if self._vacuous(name):
-            return vacuous_decisions(self.instance, batch)
         decided: dict[tuple, bool] = {}
         routed: dict[int, list[tuple]] = {}
         for candidate in batch:
@@ -624,6 +626,8 @@ class ShardedObdaSession:
                 decided[candidate] = False
         for shard, group in routed.items():
             decided.update(self._sessions[shard].answer_batch(group, name))
+        if self._vacuous(name):
+            return vacuous_decisions(self.instance, batch)
         return decided
 
     def is_certain(self, answer: Sequence = (), name: str | None = None) -> bool:

@@ -8,7 +8,8 @@ counterpart; these tests generate small random inputs and assert agreement:
 * the indexed homomorphism search against brute-force enumeration of all
   mappings between active domains;
 * the engine's join planner against cartesian enumeration plus filtering;
-* the CDCL solver against the reference ``_dpll`` on random clause sets;
+* the CDCL solver against the reference ``_dpll`` on random clause sets,
+  with and without its ``prefer_false`` branching hint;
 * the per-constant / per-position instance indexes against linear scans.
 """
 
@@ -16,6 +17,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Atom, Fact, Instance, RelationSymbol, Variable
 from repro.core.homomorphism import has_homomorphism, homomorphisms, is_homomorphism
@@ -35,6 +37,9 @@ from repro.engine import (
     join_assignments,
     solver_for_clauses,
 )
+from repro.obs import enabled
+from repro.planner import PlanPolicy
+from repro.service import ObdaSession
 
 A = RelationSymbol("A", 1)
 B = RelationSymbol("B", 1)
@@ -266,6 +271,81 @@ def test_incremental_clause_addition_stays_sound(seed):
                 assert any(not model[a] for a in negative) or any(
                     model[a] for a in positive
                 )
+
+
+_HINT_ATOMS = [("v", i) for i in range(6)]
+#: Atoms no clause mentions: the solver has never seen them.
+_UNSEEN_ATOMS = [("u", i) for i in range(2)]
+
+
+@st.composite
+def _signed_clause(draw):
+    chosen = draw(st.lists(st.sampled_from(_HINT_ATOMS), min_size=1, max_size=3, unique=True))
+    signs = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    negative = frozenset(a for a, positive in zip(chosen, signs) if not positive)
+    return (negative, frozenset(chosen) - negative)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    clauses=st.lists(_signed_clause(), min_size=1, max_size=10),
+    false_atoms=st.lists(st.sampled_from(_HINT_ATOMS + _UNSEEN_ATOMS), max_size=3),
+    true_atoms=st.lists(st.sampled_from(_HINT_ATOMS + _UNSEEN_ATOMS), max_size=2),
+    prefer_false=st.lists(st.sampled_from(_HINT_ATOMS + _UNSEEN_ATOMS), max_size=8),
+)
+def test_prefer_false_hint_never_changes_a_verdict(
+    clauses, false_atoms, true_atoms, prefer_false
+):
+    """``prefer_false`` only orders decisions: every verdict matches the
+    hint-free solver and the reference DPLL, and every model it returns
+    satisfies the clauses and the assumptions."""
+    true_units = [(frozenset(), frozenset([a])) for a in true_atoms]
+    reference = _dpll(clauses + true_units, set(false_atoms))
+    plain = solver_for_clauses(clauses)
+    hinted = solver_for_clauses(clauses)
+    # a warm query first, so the hinted call below runs over learned clauses
+    assert hinted.solve(prefer_false=prefer_false) == plain.solve()
+    verdict = hinted.solve(false_atoms, true_atoms, prefer_false=prefer_false)
+    assert verdict == plain.solve(false_atoms, true_atoms) == reference
+    if verdict:
+        model = hinted.last_model
+        for negative, positive in clauses:
+            assert any(not model[a] for a in negative) or any(model[a] for a in positive)
+        assert not any(model.get(a, False) for a in false_atoms)
+        assert all(model.get(a, True) for a in true_atoms)
+
+
+def test_prefer_false_decides_the_preferred_atom_first():
+    for preferred, other in (("a", "b"), ("b", "a")):
+        solver = solver_for_clauses([(frozenset(), frozenset({"a", "b"}))])
+        assert solver.solve(prefer_false=[preferred])
+        assert solver.last_model == {preferred: False, other: True}
+
+
+L1 = RelationSymbol("L1", 1)
+L2 = RelationSymbol("L2", 1)
+
+
+def test_certain_answers_cost_one_solve_plus_one_per_answer():
+    """The screening model refutes every non-answer at once: 40 ``A``
+    constants, each free to pick ``L2`` and avoid ``goal``, cost no solve of
+    their own; each of the 5 ``B`` answers costs one UNSAT proof."""
+    program = DisjunctiveDatalogProgram(
+        [
+            Rule((Atom(L1, (X,)), Atom(L2, (X,))), (Atom(A, (X,)),)),
+            Rule((goal_atom(X),), (Atom(L1, (X,)),)),
+            Rule((goal_atom(X),), (Atom(B, (X,)),)),
+        ]
+    )
+    facts = [Fact(A, (f"a{i}",)) for i in range(40)]
+    facts += [Fact(B, (f"b{i}",)) for i in range(5)]
+    expected = frozenset((f"b{i}",) for i in range(5))
+    grounded = ground_program(program, Instance(facts))
+    session = ObdaSession(program, facts, policy=PlanPolicy(tier=2))
+    for answer in (grounded.certain_answers, session.certain_answers):
+        with enabled() as tel:
+            assert answer() == expected
+        assert tel.counter("sat.solve_calls") == 1 + len(expected)
 
 
 def _eval_ground(formula, valuation):

@@ -310,16 +310,21 @@ def test_sharded_session_rejects_unshardable_programs():
     assert "constant" in shardability_violation(constant)
 
 
-def test_sharded_inconsistency_is_globally_vacuous():
+@pytest.mark.parametrize(
+    "policy", [None, PlanPolicy(tier=2)], ids=["natural", "tier2"]
+)
+def test_sharded_inconsistency_is_globally_vacuous(policy):
     """One shard's data violating a constraint makes every tuple over the
-    *global* domain certain, exactly as the serial engine says."""
+    *global* domain certain, exactly as the serial engine says.  Under
+    tier 2 the delete re-opens the consistency verdict each shard keeps
+    from its last screening solve."""
     program = DisjunctiveDatalogProgram(
         [
             Rule((), (Atom(A, (X,)),)),
             Rule((goal_atom(X),), (Atom(B, (X,)),)),
         ]
     )
-    session = ShardedObdaSession(program, shards=3)
+    session = ShardedObdaSession(program, shards=3, policy=policy)
     session.insert_facts([Fact(B, (1,)), Fact(B, (2,))])
     assert session.certain_answers() == frozenset({(1,), (2,)})
     session.insert_facts([Fact(A, (3,))])  # breaks one shard only
@@ -333,6 +338,14 @@ def test_sharded_inconsistency_is_globally_vacuous():
     }
     session.delete_facts([Fact(A, (3,))])
     assert session.certain_answers() == frozenset({(1,), (2,)})
+    # (5,) is answered on its own shard; the shard of 3 only reports its
+    # consistency, which each insert and delete must re-open.
+    session.insert_facts([Fact(EDGE, (5, 5))])
+    assert session.answer_batch([(5,)]) == {(5,): False}
+    session.insert_facts([Fact(A, (3,))])
+    assert session.answer_batch([(5,)]) == {(5,): True}
+    session.delete_facts([Fact(A, (3,))])
+    assert session.answer_batch([(5,)]) == {(5,): False}
 
 
 def test_sharded_compact_preserves_answers():
