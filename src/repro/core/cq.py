@@ -64,6 +64,25 @@ def vars_(*names: str) -> tuple[Variable, ...]:
     return tuple(Variable(name) for name in names)
 
 
+def canonical_atoms(atoms: Iterable[Atom], numbering: dict[Variable, int]) -> tuple:
+    """Atoms up to variable renaming, one ``(name, arity, term, ...)`` each.
+
+    A variable is spelt ``("v", i)``, numbered by first occurrence in
+    ``numbering`` (which the caller may share across calls); a constant is
+    spelt ``("c", value)``, so constants compare by value, never by ``repr``.
+    """
+    return tuple(
+        (atom.relation.name, atom.relation.arity)
+        + tuple(
+            ("v", numbering.setdefault(term, len(numbering)))
+            if isinstance(term, Variable)
+            else ("c", term)
+            for term in atom.arguments
+        )
+        for atom in atoms
+    )
+
+
 class ConjunctiveQuery:
     """A conjunctive query: existentially quantified conjunction of atoms.
 

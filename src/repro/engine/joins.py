@@ -249,7 +249,7 @@ class JoinPlan:
     ``variables`` is the full slot order — the bound (seed) variables
     first, then each new variable in the order the greedily-ordered atoms
     first write it.  Executed rows are int rows in this slot order; decode
-    through the plan's :meth:`assignment`.
+    through the plan's :meth:`assignments`.
 
     Plans are interner-*independent*: body constants are stored as raw
     values and resolved to codes lazily per interner through a one-slot
@@ -297,13 +297,6 @@ class JoinPlan:
             resolved.append((step, tuple(probes)))
         self._resolved = (interner, resolved)
         return resolved
-
-    def assignment(self, row: IntRow, interner) -> Assignment:
-        """Decode one executed row into a variable assignment."""
-        value = interner.value
-        return {
-            variable: value(code) for variable, code in zip(self.variables, row)
-        }
 
     def assignments(self, rows: Iterable[IntRow], interner) -> Iterator[Assignment]:
         value = interner.value

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..core.cq import Variable
+from ..core.cq import Variable, canonical_atoms
 from ..core.instance import Instance
 from ..datalog.ddlog import ADOM, DisjunctiveDatalogProgram
 from ..engine.grounder import _free_variable_blocks, _split_body
@@ -415,23 +415,7 @@ PLAN_ARTIFACT_ATTRS = (
 def _canonical_rule(rule) -> tuple:
     """One rule up to variable renaming: vars numbered by first occurrence."""
     numbering: dict = {}
-
-    def canon_term(term):
-        if isinstance(term, Variable):
-            index = numbering.setdefault(term, len(numbering))
-            return ("v", index)
-        return ("c", term)
-
-    def canon_atoms(atoms) -> tuple:
-        return tuple(
-            (atom.relation.name, atom.relation.arity)
-            + tuple(canon_term(term) for term in atom.arguments)
-            for atom in atoms
-        )
-
-    body = canon_atoms(rule.body)
-    head = canon_atoms(rule.head)
-    return (body, head)
+    return canonical_atoms(rule.body, numbering), canonical_atoms(rule.head, numbering)
 
 
 def program_identity_key(program: DisjunctiveDatalogProgram) -> tuple:

@@ -20,10 +20,11 @@ so ``in_adom(c)`` is forced true exactly while some live fact mentions ``c``.
 The session asserts ``guard(f)`` as a persistent solver assumption while
 ``f`` is live and simply retracts it on deletion — the clause database and
 all learned clauses survive, because guards are ordinary atoms and learned
-clauses are implied by the clause database alone.  On insertion, only clause
-instantiations whose body join touches the delta (semi-naive, through the
-engine's join planner) or whose free variables touch a new domain element
-are grounded and pushed into the live solver.
+clauses are implied by the clause database alone.  Rules are grouped by EDB
+body up to variable renaming (*shape*).  On insertion, each shape the delta
+touches runs one semi-naive join (through the engine's join planner), and
+only its new join results, plus older ones whose rules' free variables meet
+a new domain element, are instantiated and pushed into the live solver.
 
 **DRed maintenance** (:class:`IncrementalFixpoint`), for disjunction-free
 programs: the materialized least fixpoint is maintained by semi-naive
@@ -33,17 +34,18 @@ touched a deleted fact, then re-derive what survives from the remainder).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping
 
-from ..core.cq import Atom, Variable
+from ..core.cq import Atom, Variable, canonical_atoms
 from ..core.instance import Fact, Instance, MutableIndexedInstance
 from ..core.interning import Interner, IntRow
 from ..core.schema import RelationSymbol
-from ..datalog.ddlog import ADOM, GOAL, DisjunctiveDatalogProgram, Rule
+from ..datalog.ddlog import ADOM, GOAL, DisjunctiveDatalogProgram
 from ..datalog.plain import DatalogProgram, seed_row_builder
-from ..engine.grounder import _split_body, instantiate_atom
+from ..engine.grounder import _split_body
 from ..engine.joins import JoinPlan, compile_join, execute_join, join_exists
 from ..engine.sat import Clause
 from ..obs import telemetry as _telemetry
@@ -63,47 +65,88 @@ def adom_guard(element: Element) -> tuple:
     return ("in_adom", element)
 
 
-@dataclass
-class _RuleState:
-    """Per-rule grounding state: the body split and the join results seen.
+def _atom_builder(atom: Atom, slot_of: Mapping[Variable, int], builders: dict) -> Callable:
+    """``row -> (relation, arguments)``, reading variable ``v`` at ``row[slot_of[v]]``.
 
-    ``partials`` maps the interned key of each EDB join result — its row of
-    codes in sorted EDB-variable order, stable across epochs because the
-    session's delta copies share one append-only interner — to the decoded
-    assignment used for clause emission.  ``plans`` caches, per EDB atom
-    index, the compiled rest-of-body join plan, its seed-row builder and
-    the permutation onto the key order; compiled once per session and
-    reused every epoch (guarded by ``plans_interner`` identity).
+    Atoms alike up to ``slot_of`` share one builder through ``builders``, so
+    thousands of rules over a few relations allocate few closures.
+    """
+    terms = atom.arguments
+    spec = tuple((True, slot_of[t]) if isinstance(t, Variable) else (False, t) for t in terms)
+    key = (atom.relation.name, spec)  # the spec's length fixes the arity
+    if key not in builders:
+        relation = atom.relation
+        if len(spec) == 1 and spec[0][0]:
+            slot = spec[0][1]
+            builders[key] = lambda row: (relation, (row[slot],))
+        else:
+            builders[key] = lambda row: (relation, tuple([row[k] if s else k for s, k in spec]))
+    return builders[key]
+
+
+@dataclass(eq=False)
+class _Shape:
+    """One EDB body shared, up to variable renaming, by a group of rules.
+
+    ``atoms`` are the first member's EDB atoms, sorted by relation; every
+    member numbers its EDB variables alike (by first occurrence), so a join
+    result serves them all as one *row* of values in ``variables`` order.
+    ``seen`` maps each result's key — its codes in that order, stable
+    across epochs because the session's delta copies share one append-only
+    interner — to the row and the guards of the EDB facts it matched.
+    ``plans`` holds, per EDB atom, the compiled rest-of-body join plan, its
+    seed-row builder and the permutation onto the key order, compiled once
+    and reused every epoch (guarded by ``plans_interner`` identity).
     """
 
-    rule: Rule
-    edb_atoms: list[Atom]
-    adom_atoms: list[Atom]
-    idb_atoms: list[Atom]
-    free: list[Variable]
-    partials: dict[tuple, dict] = field(default_factory=dict)
+    atoms: tuple[Atom, ...]
+    variables: tuple[Variable, ...]
+    facts: tuple[Callable, ...]
+    seen: dict[tuple, tuple[tuple, frozenset]] = field(default_factory=dict)
     plans: list[tuple] | None = None
     plans_interner: "Interner | None" = None
 
-    def compile_plans(self, store) -> list[tuple]:
+    def join(self, delta: Instance, store: Instance) -> list[tuple]:
+        """The ``(row, guards)`` results new to this shape.  Semi-naive: each
+        atom in turn is matched against the delta as a whole batch, the rest
+        joined set-at-a-time against the full instance through the cached
+        plans (the delta's rows are interned into the shared interner)."""
         interner = store.interner
         if self.plans is None or self.plans_interner is not interner:
-            edb_variables = sorted(
-                {v for atom in self.edb_atoms for v in atom.variables},
-                key=lambda v: v.name,
-            )
-            plans = []
-            for index, atom in enumerate(self.edb_atoms):
-                rest = self.edb_atoms[:index] + self.edb_atoms[index + 1 :]
+            self.plans, self.plans_interner = [], interner
+            for index, atom in enumerate(self.atoms):
+                rest = self.atoms[:index] + self.atoms[index + 1 :]
                 plan = compile_join(rest, store, bound=atom.variables)
                 slot_of = {v: s for s, v in enumerate(plan.variables)}
-                perm = tuple(slot_of[v] for v in edb_variables)
-                plans.append(
-                    (plan, seed_row_builder(atom, plan, interner), perm)
-                )
-            self.plans = plans
-            self.plans_interner = interner
-        return self.plans
+                perm = tuple(slot_of[v] for v in self.variables)
+                self.plans.append((plan, seed_row_builder(atom, plan, interner), perm))
+        fresh: list[tuple] = []
+        for atom, (plan, build_seed, perm) in zip(self.atoms, self.plans):
+            rows = delta.tuples(atom.relation)
+            seeds = [s for s in map(build_seed, map(interner.intern_row, rows)) if s is not None]
+            if not seeds:
+                continue
+            for result in execute_join(plan, store, seeds):
+                key = tuple(result[p] for p in perm)
+                if key not in self.seen:
+                    row = interner.decode_row(key)
+                    guards = frozenset(fact_guard(Fact(*build(row))) for build in self.facts)
+                    self.seen[key] = (row, guards)
+                    fresh.append((row, guards))
+        return fresh
+
+
+@dataclass(eq=False, slots=True)
+class _RuleState:
+    """One rule as a clause template over its shape's rows: an instantiation
+    extends a row by one value per ``free`` variable (those outside the EDB
+    atoms, by name), and ``body``/``head`` build the IDB and head literals
+    from the extended row.  ``adom_guards`` come from constant ``adom`` atoms."""
+
+    free: tuple[Variable, ...]
+    body: tuple[Callable, ...]
+    head: tuple[Callable, ...]
+    adom_guards: tuple
 
 
 class DeltaGrounder:
@@ -114,6 +157,10 @@ class DeltaGrounder:
     set, a clause is *active* (all its guards hold) iff the from-scratch
     grounding over the current instance would contain its unguarded core —
     so a session's answers always agree with a fresh recomputation.
+
+    A delta costs one join per :class:`_Shape` it touches, not one per
+    rule.  ``_runs`` keeps the maximal runs of consecutive rules sharing a
+    shape, so clauses still come out in program order.
     """
 
     def __init__(self, program: DisjunctiveDatalogProgram) -> None:
@@ -121,38 +168,70 @@ class DeltaGrounder:
         self._idb_names = frozenset(
             {sym.name for sym in program.idb_relations} | {GOAL}
         ) - {ADOM}
-        self._rules: list[_RuleState] = []
+        shapes: dict[tuple, _Shape] = {}
+        by_body: dict[tuple, tuple] = {}  # verbatim EDB atoms -> (shape, slot_of)
+        builders: dict[tuple, Callable] = {}  # shared by every rule, see _atom_builder
+        # (shape, its rules in the run, those of them with free variables)
+        self._runs: list[tuple[_Shape, list[_RuleState], list[_RuleState]]] = []
         self._emitted: set[Clause] = set()
+        self._bootstrap: list[Clause] = []
         self.clauses_emitted = 0
         self.instantiations = 0  # clause instantiations attempted (incl. tautologies)
-        bootstrap: list[Clause] = []
         for rule in program.rules:
             edb_atoms, adom_atoms, idb_atoms = _split_body(
                 rule, self._idb_names, ADOM
             )
-            free = sorted(
-                {
-                    v
-                    for v in rule.variables
-                    if not any(v in a.variables for a in edb_atoms)
-                },
-                key=str,
+            body = tuple(edb_atoms)
+            if body not in by_body:
+                ordered = tuple(sorted(body, key=lambda atom: atom.relation.name))
+                slot_of: dict[Variable, int] = {}
+                key = canonical_atoms(ordered, slot_of)
+                if key not in shapes:
+                    facts = tuple(_atom_builder(atom, slot_of, builders) for atom in ordered)
+                    shapes[key] = _Shape(ordered, tuple(slot_of), facts)
+                    if not ordered:
+                        # The empty join result holds in every instance, the
+                        # empty one included: later epochs only top it up.
+                        shapes[key].seen[()] = ((), frozenset())
+                by_body[body] = (shapes[key], slot_of)
+            shape, slot_of = by_body[body]
+            terms = {t for atom in (*adom_atoms, *idb_atoms, *rule.head) for t in atom.arguments}
+            free = sorted((t for t in terms - slot_of.keys() if isinstance(t, Variable)), key=str)
+            if free:
+                slot_of = dict(slot_of)
+                for variable in free:
+                    slot_of[variable] = len(slot_of)
+            state = _RuleState(
+                tuple(free),
+                tuple(_atom_builder(atom, slot_of, builders) for atom in idb_atoms),
+                tuple(_atom_builder(atom, slot_of, builders) for atom in rule.head),
+                tuple(
+                    adom_guard(atom.arguments[0])
+                    for atom in adom_atoms
+                    if not isinstance(atom.arguments[0], Variable)
+                ),
             )
-            state = _RuleState(rule, edb_atoms, adom_atoms, idb_atoms, free)
-            self._rules.append(state)
-            if not edb_atoms:
-                # The empty join result holds in every instance (including
-                # the empty one a session starts from); store it now so later
-                # epochs only top it up with new domain elements.
-                state.partials[()] = {}
-                if not free:
-                    self._emit_clause(state, {}, (), bootstrap.append)
-        self._bootstrap = bootstrap
+            if not self._runs or self._runs[-1][0] is not shape:
+                self._runs.append((shape, [], []))
+            self._runs[-1][1].append(state)
+            if free:
+                self._runs[-1][2].append(state)
+            elif not shape.atoms:
+                self._emit_clauses(state, shape.seen.values(), [()], self._bootstrap.append)
+        self._shapes = list(shapes.values())
 
     def bootstrap_clauses(self) -> list[Clause]:
         """Clauses valid over the empty instance (rules without EDB atoms or
         free variables); push these into the solver before the first epoch."""
         return list(self._bootstrap)
+
+    def warm_plans(self) -> list[tuple]:
+        """Each shape's plans and interner, for :meth:`adopt_warm_plans`."""
+        return [(shape.plans, shape.plans_interner) for shape in self._shapes]
+
+    def adopt_warm_plans(self, warm: list[tuple]) -> None:
+        for shape, (plans, interner) in zip(self._shapes, warm):
+            shape.plans, shape.plans_interner = plans, interner
 
     # -- insertion -------------------------------------------------------------
 
@@ -187,55 +266,29 @@ class DeltaGrounder:
                     )
                 )
 
+        fresh = {shape: shape.join(delta, new_instance) for shape in self._shapes if shape.atoms}
         new_elements = delta.active_domain - old_instance.active_domain
-        full_domain = sorted(new_instance.active_domain, key=repr)
-        for state in self._rules:
-            arity = len(state.free)
-            # Existing join results meet the new domain elements: enumerate
-            # only the free-variable tuples touching at least one of them.
-            if new_elements and arity and state.partials:
-                top_up = [
-                    values
-                    for values in itertools.product(full_domain, repeat=arity)
-                    if any(value in new_elements for value in values)
-                ]
-                for partial in state.partials.values():
-                    for values in top_up:
-                        self._emit_clause(state, partial, values, emit)
-            # New join results: semi-naive over the EDB atoms, each atom in
-            # turn matched against the delta as a whole batch, the rest
-            # joined set-at-a-time against the full instance through the
-            # cached compiled plans (the delta's rows are interned into the
-            # session's shared interner on the way in).
-            if not state.edb_atoms:
-                continue
-            interner = new_instance.interner
-            plans = state.compile_plans(new_instance)
-            new_partials: list[dict] = []
-            for index, atom in enumerate(state.edb_atoms):
-                rows = delta.tuples(atom.relation)
-                if not rows:
-                    continue
-                plan, build_seed, perm = plans[index]
-                seeds = []
-                for row in rows:
-                    seed = build_seed(interner.intern_row(row))
-                    if seed is not None:
-                        seeds.append(seed)
-                if not seeds:
-                    continue
-                for result in execute_join(plan, new_instance, seeds):
-                    key = tuple(result[p] for p in perm)
-                    if key in state.partials:
-                        continue
-                    assignment = plan.assignment(result, interner)
-                    state.partials[key] = assignment
-                    new_partials.append(assignment)
-            if new_partials:
-                all_tuples = list(itertools.product(full_domain, repeat=arity))
-                for assignment in new_partials:
-                    for values in all_tuples:
-                        self._emit_clause(state, assignment, values, emit)
+        domain = sorted(new_instance.active_domain, key=repr)
+
+        @functools.cache
+        def value_tuples(arity: int, top_up: bool) -> list[tuple]:
+            # every tuple for new join results; for older ones (top-ups), only
+            # the tuples touching a new domain element
+            tuples = itertools.product(domain, repeat=arity)
+            return [t for t in tuples if not top_up or any(v in new_elements for v in t)]
+
+        for shape, members, free_members in self._runs:
+            new = fresh.get(shape)
+            old_count = len(shape.seen) - len(new or ())
+            old = ()
+            if new_elements and free_members and old_count:
+                old = list(itertools.islice(shape.seen.values(), old_count))
+            # per rule in program order: top-ups of old results, then new results
+            for state in members if new else free_members if old else ():
+                if old and state.free:
+                    self._emit_clauses(state, old, value_tuples(len(state.free), True), emit)
+                if new:
+                    self._emit_clauses(state, new, value_tuples(len(state.free), False), emit)
         self.clauses_emitted += len(emitted)
         tel = _telemetry.ACTIVE
         if tel is not None:
@@ -249,32 +302,22 @@ class DeltaGrounder:
 
     # -- clause construction ---------------------------------------------------
 
-    def _emit_clause(
-        self,
-        state: _RuleState,
-        partial: Mapping[Variable, Element],
-        values: tuple,
-        emit: Callable[[Clause], None],
+    def _emit_clauses(
+        self, state: _RuleState, rows: Iterable, tuples: list[tuple], emit: Callable
     ) -> None:
-        self.instantiations += 1
-        assignment = dict(partial)
-        assignment.update(zip(state.free, values))
-        negative = {instantiate_atom(a, assignment) for a in state.idb_atoms}
-        positive = frozenset(
-            instantiate_atom(a, assignment) for a in state.rule.head
-        )
-        if negative & positive:
-            return  # tautology
-        for atom in state.edb_atoms:
-            relation, arguments = instantiate_atom(atom, assignment)
-            negative.add(fact_guard(Fact(relation, arguments)))
-        for value in values:
-            negative.add(adom_guard(value))
-        for atom in state.adom_atoms:
-            term = atom.arguments[0]
-            if not isinstance(term, Variable):
-                negative.add(adom_guard(term))
-        emit((frozenset(negative), positive))
+        """One clause per ``(row, guards)`` result and free-value tuple."""
+        for row, guards in rows:
+            self.instantiations += len(tuples)
+            for values in tuples:
+                extended = row + values
+                negative = {build(extended) for build in state.body}
+                positive = frozenset([build(extended) for build in state.head])
+                if negative & positive:
+                    continue  # tautology
+                negative.update(guards)
+                negative.update(map(adom_guard, values))
+                negative.update(state.adom_guards)
+                emit((frozenset(negative), positive))
 
 
 # ---------------------------------------------------------------------------

@@ -642,9 +642,7 @@ class ObdaSession:
             return state
         state = _SatState(plan)
         if warm is not None:
-            for rule_state, (plans, interner) in zip(state.grounder._rules, warm):
-                rule_state.plans = plans
-                rule_state.plans_interner = interner
+            state.grounder.adopt_warm_plans(warm)
         facts = sorted(self._instance.facts, key=str)
         if facts:
             state.insert(Instance([]), Instance(facts), self._instance)
@@ -653,10 +651,7 @@ class ObdaSession:
     def _harvest_warm(self, name: str, state) -> None:
         """Bank a retiring state's compiled join plans under its tier."""
         if isinstance(state, _SatState):
-            self._warm[name][state.plan.tier] = [
-                (rule.plans, rule.plans_interner)
-                for rule in state.grounder._rules
-            ]
+            self._warm[name][state.plan.tier] = state.grounder.warm_plans()
         elif isinstance(state, _FixpointState):
             fixpoint = state.fixpoint
             if fixpoint._rederive_plans is not None:

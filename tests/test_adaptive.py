@@ -405,14 +405,14 @@ def test_warm_plan_caches_survive_swaps():
     session.insert_facts(ancestry_universe(6))
     state = session._state(None)
     assert isinstance(state, _SatState)
-    before = [rule.plans for rule in state.grounder._rules]
+    before = [shape.plans for shape in state.grounder._shapes]
     assert any(plans is not None for plans in before)
     session.compact()
     after = session._state(None)
     assert after is not state
-    for old_plans, rule in zip(before, after.grounder._rules):
+    for old_plans, shape in zip(before, after.grounder._shapes):
         if old_plans is not None:
-            assert rule.plans is old_plans  # transplanted, not recompiled
+            assert shape.plans is old_plans  # transplanted, not recompiled
 
     fix_session = ObdaSession(program)  # semantic tier-1 plan
     fix_session.insert_facts(ancestry_universe(6))

@@ -8,20 +8,27 @@ never different.
 """
 
 import functools
+import itertools
 import random
 
 import pytest
 
 from repro.core import Atom, Fact, Instance, RelationSymbol, Variable
 from repro.datalog import DisjunctiveDatalogProgram, Rule, adom_atom, goal_atom
-from repro.datalog.plain import DatalogProgram
-from repro.engine.grounder import ground_program
+from repro.datalog.ddlog import ADOM, GOAL
+from repro.datalog.plain import DatalogProgram, seed_row_builder
+from repro.engine.grounder import _split_body, ground_program, instantiate_atom
+from repro.engine.joins import compile_join, execute_join
+from repro.obs import enabled
 from repro.omq.certain import compile_to_mddlog
-from repro.planner import PlanPolicy
+from repro.planner import TIER_GROUND_SAT, PlanPolicy
 from repro.service import (
+    DeltaGrounder,
     IncrementalFixpoint,
     ObdaSession,
     ShardedObdaSession,
+    adom_guard,
+    fact_guard,
     graph_universe,
     is_shardable,
     medical_universe,
@@ -549,3 +556,266 @@ def test_inconsistent_data_makes_every_tuple_certain():
     # deleting the offending fact restores consistency
     session.delete_facts([Fact(A, (2,))])
     assert session.certain_answers() == frozenset({(1,)})
+
+
+# ---------------------------------------------------------------------------
+# Shape-grouped delta grounding against the per-rule oracle
+# ---------------------------------------------------------------------------
+
+
+class _PerRuleGrounder:
+    """The per-rule delta grounder, kept only as an oracle.
+
+    One semi-naive join per rule and delta, each rule keeping its own join
+    results and building its clauses from its own variable assignments —
+    the insert loop :class:`DeltaGrounder` replaced by one join per EDB
+    body shape.  Its clauses must match clause for clause.
+    """
+
+    def __init__(self, program):
+        idb_names = frozenset({s.name for s in program.idb_relations} | {GOAL}) - {ADOM}
+        self._rules = []
+        self._emitted = set()
+        self.bootstrap = []
+        for rule in program.rules:
+            edb_atoms, adom_atoms, idb_atoms = _split_body(rule, idb_names, ADOM)
+            free = sorted(
+                {v for v in rule.variables if not any(v in a.variables for a in edb_atoms)},
+                key=str,
+            )
+            # (rule, EDB atoms, adom atoms, IDB atoms, free variables,
+            #  join results by interned key, compiled plans)
+            state = [rule, edb_atoms, adom_atoms, idb_atoms, free, {}, None]
+            self._rules.append(state)
+            if not edb_atoms:
+                state[5][()] = {}
+                if not free:
+                    self._emit_clause(state, {}, (), self.bootstrap.append)
+
+    def insert(self, old_instance, delta, new_instance):
+        emitted = []
+
+        def emit(clause):
+            if clause not in self._emitted:
+                self._emitted.add(clause)
+                emitted.append(clause)
+
+        for fact in sorted(delta, key=str):
+            for constant in set(fact.arguments):
+                emit((frozenset([fact_guard(fact)]), frozenset([adom_guard(constant)])))
+        new_elements = delta.active_domain - old_instance.active_domain
+        full_domain = sorted(new_instance.active_domain, key=repr)
+        interner = new_instance.interner
+        for state in self._rules:
+            _rule, edb_atoms, _adom, _idb, free, partials, plans = state
+            arity = len(free)
+            if new_elements and arity and partials:
+                top_up = [
+                    values
+                    for values in itertools.product(full_domain, repeat=arity)
+                    if any(value in new_elements for value in values)
+                ]
+                for partial in partials.values():
+                    for values in top_up:
+                        self._emit_clause(state, partial, values, emit)
+            new_partials = []
+            for index, atom in enumerate(edb_atoms):
+                rows = delta.tuples(atom.relation)
+                if not rows:
+                    continue
+                if plans is None:
+                    plans = state[6] = self._compile(edb_atoms, new_instance)
+                plan, build_seed, perm = plans[index]
+                seeds = [
+                    seed
+                    for row in rows
+                    if (seed := build_seed(interner.intern_row(row))) is not None
+                ]
+                if not seeds:
+                    continue
+                for result in execute_join(plan, new_instance, seeds):
+                    key = tuple(result[p] for p in perm)
+                    if key not in partials:
+                        partials[key] = dict(zip(plan.variables, interner.decode_row(result)))
+                        new_partials.append(partials[key])
+            all_tuples = list(itertools.product(full_domain, repeat=arity))
+            for assignment in new_partials:
+                for values in all_tuples:
+                    self._emit_clause(state, assignment, values, emit)
+        return emitted
+
+    @staticmethod
+    def _compile(edb_atoms, store):
+        variables = sorted({v for a in edb_atoms for v in a.variables}, key=lambda v: v.name)
+        plans = []
+        for index, atom in enumerate(edb_atoms):
+            rest = edb_atoms[:index] + edb_atoms[index + 1 :]
+            plan = compile_join(rest, store, bound=atom.variables)
+            slot_of = {v: s for s, v in enumerate(plan.variables)}
+            perm = tuple(slot_of[v] for v in variables)
+            plans.append((plan, seed_row_builder(atom, plan, store.interner), perm))
+        return plans
+
+    @staticmethod
+    def _emit_clause(state, partial, values, emit):
+        rule, edb_atoms, adom_atoms, idb_atoms, free = state[:5]
+        assignment = dict(partial)
+        assignment.update(zip(free, values))
+        negative = {instantiate_atom(a, assignment) for a in idb_atoms}
+        positive = frozenset(instantiate_atom(a, assignment) for a in rule.head)
+        if negative & positive:
+            return
+        for atom in edb_atoms:
+            negative.add(fact_guard(Fact(*instantiate_atom(atom, assignment))))
+        for value in values:
+            negative.add(adom_guard(value))
+        for atom in adom_atoms:
+            if not isinstance(atom.arguments[0], Variable):
+                negative.add(adom_guard(atom.arguments[0]))
+        emit((frozenset(negative), positive))
+
+
+def _assert_same_clauses(program, events, ordered=False):
+    """Replay insert/delete events through both grounders; after every
+    insert, the clauses each has emitted so far must be the same set.
+
+    Both start from the same bootstrap clauses, so comparing each insert's
+    new clauses (as ``(negative, positive)`` frozenset pairs) keeps the
+    running sets equal without rescanning them.  ``ordered`` also demands
+    the same emission order, i.e. the same solver input.
+    """
+    oracle, grounder = _PerRuleGrounder(program), DeltaGrounder(program)
+    assert set(grounder.bootstrap_clauses()) == set(oracle.bootstrap)
+    instance = Instance([])
+    inserts = 0
+    for kind, facts in events:
+        if kind == "delete":
+            instance = instance.without_facts(facts)
+            continue
+        old, delta, instance = instance, Instance(facts), instance.with_facts(facts)
+        expected = oracle.insert(old, delta, instance)
+        got = grounder.insert(old, delta, instance)
+        assert set(got) == set(expected), f"insert {inserts}: {set(got) ^ set(expected)}"
+        assert got == expected or not ordered
+        inserts += 1
+    return inserts
+
+
+@pytest.mark.parametrize("seed", range(11, 16))
+def test_grouped_grounder_matches_per_rule_on_table1_streams(seed):
+    """Compiled Example 2.1 on the serve-table1 stream shapes: the same
+    clauses in the same order (all its rules have at most one EDB atom)."""
+    stream = random_stream(medical_universe(4, 3), 100, seed=seed)
+    events = [(e.kind, e.facts) for e in stream if e.kind in ("insert", "delete")]
+    assert _assert_same_clauses(_medical_program(), events, ordered=True) > 0
+
+
+class _Twin:
+    """A constant that prints like every other twin: equal ``repr``,
+    distinct value."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __eq__(self, other):
+        return isinstance(other, _Twin) and other.tag == self.tag
+
+    def __hash__(self):
+        return hash(("twin", self.tag))
+
+    def __repr__(self):
+        return "twin"
+
+
+TWIN_A, TWIN_B = _Twin("a"), _Twin("b")
+Z = Variable("z")
+#: EDB bodies over x and y, renamed per rule so that rules share shapes.
+_SHAPE_BODIES = (
+    (Atom(EDGE, (X, Y)),),
+    (Atom(EDGE, (Y, X)),),  # a renaming of edge(x, y): one shape
+    (Atom(EDGE, (X, X)),),  # not a renaming of edge(x, y)
+    (Atom(EDGE, (X, Y)), Atom(A, (Y,))),
+    (Atom(A, (Y,)), Atom(EDGE, (X, Y))),  # the same body in the other order
+    (Atom(EDGE, (X, Y)), Atom(EDGE, (Y, X))),
+    (Atom(EDGE, (X, TWIN_A)), Atom(B, (X,))),
+    (),  # no EDB atom: the rule's variables are all free
+)
+#: In every program: equal reprs, different constants, so different shapes.
+_TWIN_BODIES = ((Atom(A, (TWIN_A,)),), (Atom(A, (TWIN_B,)),))
+
+
+def _shape_sharing_program(rng, goal_arity):
+    rules = []
+    for body in rng.sample(_SHAPE_BODIES, 3) + list(_TWIN_BODIES):
+        for _ in range(rng.randint(1, 3)):
+            rename = dict(zip((X, Y), rng.sample((X, Y, Z), 2)))
+            edb = tuple(atom.substitute(rename) for atom in body)
+            bound = sorted({v for atom in edb for v in atom.variables}, key=str)
+            free = [v for v in (X, Y, Z) if v not in bound]
+            pool = bound + rng.sample(free, rng.randint(0 if bound else 1, min(2, len(free))))
+            extra = [
+                Atom(rng.choice((P, Q)), (rng.choice(pool),)) for _ in range(rng.randint(0, 2))
+            ]
+            extra += [adom_atom(v) for v in pool if v not in bound and rng.random() < 0.5]
+            if rng.random() < 0.2:
+                extra.append(adom_atom(rng.choice((1, TWIN_A, TWIN_B))))
+            if not edb and not extra:
+                extra.append(adom_atom(pool[0]))
+            variables = sorted({v for atom in edb + tuple(extra) for v in atom.variables}, key=str)
+            kind = rng.random()
+            if kind < 0.3 or not variables:
+                head = ()
+            elif kind < 0.55:
+                head = (goal_atom(*rng.sample(variables, goal_arity)),)
+            else:
+                head = tuple(Atom(rng.choice((P, Q)), (v,)) for v in rng.sample(variables, 1))
+            rules.append(Rule(head, edb + tuple(extra)))
+    rules.append(Rule((goal_atom(X) if goal_arity else goal_atom(),), (Atom(P, (X,)),)))
+    return DisjunctiveDatalogProgram(rules)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_grouped_grounder_matches_per_rule_on_shared_shapes(seed):
+    rng = random.Random(seed)
+    program = _shape_sharing_program(rng, rng.choice([0, 1]))
+    universe = _fact_universe([1, 2, TWIN_A, TWIN_B])
+    # live facts in insertion order: twins print alike, so sorting by str
+    # alone would leave their order to the hash seed
+    live, gone, events = {}, [], []
+    for _ in range(30):
+        if live and rng.random() < 0.35:
+            batch = rng.sample(sorted(live, key=str), min(len(live), rng.randint(1, 3)))
+            for fact in batch:
+                del live[fact]
+            gone.extend(batch)
+            events.append(("delete", batch))
+            continue
+        # re-insert deleted facts half the time
+        pool = [f for f in (gone if gone and rng.random() < 0.5 else universe) if f not in live]
+        batch = list(dict.fromkeys(rng.sample(pool, min(len(pool), rng.randint(1, 3)))))
+        if batch:
+            live.update(dict.fromkeys(batch))
+            events.append(("insert", batch))
+    assert _assert_same_clauses(program, events) > 0
+
+
+def test_insert_joins_once_per_shape():
+    """Compiled Example 2.1: one HasParent fact is one join (3,600 rules
+    share its EDB body), and re-inserting it emits no clause."""
+    session = ObdaSession(_medical_program(), policy=PlanPolicy(tier=TIER_GROUND_SAT))
+    session.insert_facts(
+        [
+            Fact(RelationSymbol("HasFinding", 2), ("p", "f")),
+            Fact(RelationSymbol("ErythemaMigrans", 1), ("f",)),
+        ]
+    )
+    assert session.certain_answers() == frozenset({("p",)})
+    parent = Fact(RelationSymbol("HasParent", 2), ("p", "q"))
+    for clauses in (3736, 0):
+        with enabled() as tel:
+            session.insert_facts([parent])
+        assert tel.counter("join.plans_executed") == 1
+        assert tel.counter("delta.clauses_emitted") == clauses
+        assert session.certain_answers() == frozenset({("p",)})
+        session.delete_facts([parent])
+        assert session.certain_answers() == frozenset({("p",)})
