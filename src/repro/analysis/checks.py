@@ -13,7 +13,7 @@ Codes are grouped by hundreds:
   :mod:`repro.service.shards` enforces at runtime, surfaced ahead of
   deployment);
 * ``MD2xx`` — tier-pinning explanations (why the planner will refuse
-  tier 0/1; mirrors :mod:`repro.planner.plan` rationales).
+  tier 0/1; read off the pin of the planner's syntactic plan).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from ..core.cq import Atom, Variable
 from ..core.schema import Schema
 from ..datalog.ddlog import ADOM, GOAL, DisjunctiveDatalogProgram, Rule
 from .deps import (
-    cyclic_relations,
     dependency_graph,
     idb_names,
     reachable_predicates,
@@ -658,7 +657,7 @@ def shardability_diagnostics(
 
 
 # ---------------------------------------------------------------------------
-# MD2xx — tier-pinning explanations (mirrors planner rationales)
+# MD2xx — tier-pinning explanations (the planner's syntactic plan record)
 # ---------------------------------------------------------------------------
 
 
@@ -688,16 +687,17 @@ def shardability_diagnostics(
         "MD204",
         "tier-pinned-unfolding-caps",
         INFO,
-        "the UCQ unfolding exceeds the disjunct/atom caps, so the planner "
-        "serves the program from the tier-1 fixpoint instead of tier 0",
+        "the UCQ unfolding exceeds the cost model's disjunct/atom caps, so "
+        "the planner serves the program from the tier-1 fixpoint instead of "
+        "tier 0",
     ),
 )
 def check_tier_pinning(ctx: ProgramContext) -> Iterator[Diagnostic]:
-    program = ctx.program
-    defines_adom = any(
-        atom.relation.name == ADOM for _, rule in ctx.rules() for atom in rule.head
-    )
-    if defines_adom:
+    from ..planner.plan import plan_program
+    from ..planner.policy import PlanPolicy
+
+    plan = plan_program(ctx.program, PlanPolicy(semantic=False))
+    if plan.pin == "adom":
         yield Diagnostic(
             "MD201",
             INFO,
@@ -706,23 +706,21 @@ def check_tier_pinning(ctx: ProgramContext) -> Iterator[Diagnostic]:
             subject=ADOM,
             suggestion="treat adom as read-only input if tier 0/1 routing matters",
         )
-        return  # the planner stops here too; further pins are unreachable
-    disjunctive = [
-        (index, rule) for index, rule in ctx.rules() if len(rule.head) > 1
-    ]
-    if disjunctive:
-        index, rule = disjunctive[0]
+    elif plan.pin == "disjunction":
+        index, rule = next(
+            (index, rule) for index, rule in ctx.rules() if len(rule.head) > 1
+        )
         yield Diagnostic(
             "MD202",
             INFO,
-            f"{len(disjunctive)} disjunctive rule(s): syntactic tier 2 "
-            "(the semantic stage may still construct a tier-0/1 rewriting)",
+            f"{plan.shape.disjunctive_rule_count} disjunctive rule(s): "
+            "syntactic tier 2 (the semantic stage may still construct a "
+            "tier-0/1 rewriting)",
             rule_index=index,
             rule=str(rule),
         )
-        return
-    recursive = sorted(cyclic_relations(ctx.graph))
-    if recursive:
+    elif plan.pin == "recursion":
+        recursive = plan.shape.recursive_relations
         yield Diagnostic(
             "MD203",
             INFO,
@@ -730,15 +728,13 @@ def check_tier_pinning(ctx: ProgramContext) -> Iterator[Diagnostic]:
             "UCQ unfolding unavailable; served by the tier-1 fixpoint",
             subject=recursive[0],
         )
-        return
-    from ..planner.analysis import unfold_to_ucq
-
-    if unfold_to_ucq(program) is None:
+    elif plan.pin == "unfolding-caps":
         yield Diagnostic(
             "MD204",
             INFO,
             "nonrecursive and disjunction-free, but the UCQ unfolding "
-            "exceeds its caps: served by the tier-1 fixpoint",
-            suggestion="raise MAX_UNFOLDED_DISJUNCTS/MAX_DISJUNCT_ATOMS "
-            "only if the unfolded UCQ is genuinely wanted",
+            "exceeds the cost model's caps: served by the tier-1 fixpoint",
+            suggestion="the fixpoint answers identically; to reach tier 0, "
+            "shrink the goal's unfolding (fewer alternative IDB definitions "
+            "or atoms per disjunct)",
         )

@@ -30,7 +30,6 @@ store for cross-validation and benchmarking against the interned core.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -316,9 +315,6 @@ class Instance:
                 self._tuples_view.setdefault(relation, frozenset(rows))
             self._grouped = True
 
-    def has_fact(self, relation: RelationSymbol, arguments: Sequence) -> bool:
-        return Fact(relation, tuple(arguments)) in self
-
     def _resolve(self, relation: RelationSymbol | str) -> RelationSymbol | None:
         if isinstance(relation, str):
             return self._schema.get(relation)
@@ -403,8 +399,8 @@ class Instance:
         facts: frozenset[Fact] | None,
         schema: Schema,
         adom: frozenset,
-        interner: Interner | None,
-        columns: dict[RelationSymbol, ColumnarRelation] | None,
+        interner: Interner,
+        columns: dict[RelationSymbol, ColumnarRelation],
         tuples_view: dict[RelationSymbol, frozenset] | None = None,
         position_view: (
             dict[RelationSymbol, tuple[dict[Constant, frozenset[tuple]], ...]] | None
@@ -413,10 +409,7 @@ class Instance:
     ) -> "Instance":
         """Internal fast path for delta copies, fixpoint freezes and interner
         merges: trust prebuilt parts.  ``facts`` may be ``None`` — the fact
-        set is then decoded lazily from the columns on first use.
-        ``interner``/``columns`` may both be ``None`` (fact-space instance,
-        e.g. from :meth:`InstanceBuilder.build`) — they then materialize
-        lazily on first touch of the row protocol."""
+        set is then decoded lazily from the columns on first use."""
         instance = cls.__new__(cls)
         instance._facts = facts
         instance._schema = schema
@@ -724,14 +717,6 @@ class Instance:
         right = other.rename({a: (1, a) for a in other.active_domain})
         return left.union(right)
 
-    def subinstances(self, max_size: int | None = None) -> Iterator["Instance"]:
-        """All sub-instances (subsets of facts), optionally capped in fact count."""
-        facts = sorted(self._force_facts(), key=str)
-        upper = len(facts) if max_size is None else min(max_size, len(facts))
-        for size in range(upper + 1):
-            for subset in itertools.combinations(facts, size):
-                yield Instance(subset)
-
     # -- convenience builders --------------------------------------------------
 
     @classmethod
@@ -748,97 +733,6 @@ class Instance:
                 row = tuple(row) if not isinstance(row, tuple) else row
                 facts.append(Fact(sym, row))
         return cls(facts, schema=schema)
-
-
-class InstanceBuilder:
-    """Incremental construction of instances.
-
-    The builder maintains the fact set, active domain and per-relation index
-    as facts are added.  Typical use is accumulating facts before freezing
-    (:meth:`build`) into an interned :class:`Instance` once.
-    """
-
-    def __init__(
-        self,
-        facts: Iterable[Fact] = (),
-        schema: Schema | None = None,
-    ) -> None:
-        self._facts: set[Fact] = set()
-        self._domain: set[Constant] = set()
-        self._by_relation: dict[RelationSymbol, set[tuple]] = {}
-        self._declared_schema = schema
-        self.add_all(facts)
-
-    @classmethod
-    def from_instance(cls, instance: Instance) -> "InstanceBuilder":
-        builder = cls(schema=None)
-        builder._facts = set(instance.facts)
-        builder._domain = set(instance.active_domain)
-        for relation in {fact.relation for fact in builder._facts}:
-            builder._by_relation[relation] = set(instance.tuples(relation))
-        builder._declared_schema = instance.schema
-        return builder
-
-    def add(self, fact: Fact) -> bool:
-        """Add one fact; returns True if it was new."""
-        if fact in self._facts:
-            return False
-        self._facts.add(fact)
-        self._domain.update(fact.arguments)
-        self._by_relation.setdefault(fact.relation, set()).add(fact.arguments)
-        return True
-
-    def add_all(self, facts: Iterable[Fact]) -> int:
-        """Add facts; returns how many were new."""
-        return sum(1 for fact in facts if self.add(fact))
-
-    def add_tuple(self, relation: RelationSymbol, arguments: Sequence) -> bool:
-        return self.add(Fact(relation, tuple(arguments)))
-
-    def __contains__(self, fact: object) -> bool:
-        return fact in self._facts
-
-    def __len__(self) -> int:
-        return len(self._facts)
-
-    def contains_tuple(self, relation: RelationSymbol, arguments: tuple) -> bool:
-        return arguments in self._by_relation.get(relation, ())
-
-    def tuples(self, relation: RelationSymbol) -> frozenset[tuple]:
-        # a snapshot, not the live index: mutating it must not corrupt the builder
-        return frozenset(self._by_relation.get(relation, ()))
-
-    @property
-    def active_domain(self) -> set:
-        return self._domain
-
-    def build(self) -> Instance:
-        """Freeze into an :class:`Instance`.
-
-        The schema is the declared schema (if any) grown by the symbols of
-        the added facts — the builder mirrors ``Instance.with_facts``, which
-        likewise re-infers symbols rather than rejecting new ones.  A name
-        used with two arities still raises.  The built instance starts in
-        fact space with its per-relation tuple views prefilled from the
-        builder's index; interning happens lazily on first join.
-        """
-        used = Schema(self._by_relation)
-        if self._declared_schema is not None:
-            schema = self._declared_schema.union(used)
-        else:
-            schema = used
-        instance = Instance._from_parts(
-            frozenset(self._facts),
-            schema,
-            frozenset(self._domain),
-            None,
-            None,
-            {rel: frozenset(rows) for rel, rows in self._by_relation.items()},
-        )
-        # the prefilled views cover every populated relation, so the
-        # fact-grouping pass would be redundant
-        instance._grouped = True
-        return instance
 
 
 class MutableIndexedInstance:

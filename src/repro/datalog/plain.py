@@ -159,6 +159,41 @@ class CompiledRule:
                 yield build_head, out
 
 
+def semi_naive_rounds(
+    compiled: Sequence[CompiledRule],
+    store: MutableIndexedInstance,
+    delta: dict[RelationSymbol, list[IntRow]],
+) -> Iterator[dict[RelationSymbol, list[IntRow]]]:
+    """Run semi-naive rounds over ``store`` to saturation.
+
+    ``delta`` holds the rows added to ``store`` since the last round.  Each
+    round seeds every compiled rule's rest plans with the delta batches,
+    buffers the derived head rows, and applies them at the round boundary
+    (so every join reads the previous round's state and no live index
+    mutates under an in-flight join).  Yields each round's fresh rows, the
+    next round's delta; the last round yields an empty one.
+    """
+    while delta:
+        pending: dict[RelationSymbol, set[IntRow]] = {}
+        for crule in compiled:
+            head_relation = crule.rule.head[0].relation
+            derived = pending.get(head_relation)
+            for build_head, rows in crule.delta_result_rows(store, delta):
+                for row in rows:
+                    head_row = build_head(row)
+                    if store.has_row(head_relation, head_row):
+                        continue
+                    if derived is None:
+                        derived = pending.setdefault(head_relation, set())
+                    derived.add(head_row)
+        delta = {}
+        for relation, rows in pending.items():
+            fresh = [row for row in rows if store.add_row(relation, row)]
+            if fresh:
+                delta[relation] = fresh
+        yield delta
+
+
 class DatalogProgram(DisjunctiveDatalogProgram):
     """A disjunction-free DDlog program evaluated via least fixpoint."""
 
@@ -194,18 +229,15 @@ class DatalogProgram(DisjunctiveDatalogProgram):
     ) -> Instance:
         """The minimal model of the program extending the instance.
 
-        Evaluation is *semi-naive*: after the first round, a rule body is
-        only re-joined through instantiations that touch at least one fact
-        derived in the previous round (the delta).  The default
-        ``columnar`` engine runs entirely on interned int rows: every rule
-        is compiled once (:class:`CompiledRule`), each round seeds the
-        compiled rest-plans with the previous round's delta *batches* and
-        executes set-at-a-time, and derived head rows accumulate in **one**
+        Evaluation is *semi-naive* (:func:`semi_naive_rounds`): after the
+        first round, a rule body is only re-joined through instantiations
+        that touch at least one fact derived in the previous round (the
+        delta).  The default ``columnar`` engine runs entirely on interned
+        int rows: every rule is compiled once (:class:`CompiledRule`), and
+        derived head rows accumulate in **one**
         :class:`MutableIndexedInstance` whose columnar buckets are updated
-        in place across rounds.  A round's derivations are buffered and
-        applied at the round boundary (so every join runs against the
-        previous round's state and no live index mutates under an in-flight
-        join), and the store is frozen exactly once at saturation.
+        in place across rounds and which is frozen exactly once at
+        saturation.
 
         ``engine="tuple"`` runs the pre-columnar tuple-at-a-time
         implementation over a :class:`TupleIndexedInstance` — the
@@ -236,34 +268,10 @@ class DatalogProgram(DisjunctiveDatalogProgram):
         with _telemetry.maybe_span(
             "fixpoint.least_fixpoint", rules=len(compiled)
         ) as span:
-            while delta:
-                pending: dict[RelationSymbol, set] = {}
-                for crule in compiled:
-                    head_relation = crule.rule.head[0].relation
-                    derived = pending.get(head_relation)
-                    for build_head, rows in crule.delta_result_rows(
-                        current, delta
-                    ):
-                        for row in rows:
-                            head_row = build_head(row)
-                            if current.has_row(head_relation, head_row):
-                                continue
-                            if derived is None:
-                                derived = pending.setdefault(
-                                    head_relation, set()
-                                )
-                            derived.add(head_row)
-                # round boundary: apply the buffered derivations in one batch
-                delta = {}
-                for relation, rows in pending.items():
-                    fresh = [
-                        row for row in rows if current.add_row(relation, row)
-                    ]
-                    if fresh:
-                        delta[relation] = fresh
+            for fresh in semi_naive_rounds(compiled, current, delta):
                 rounds += 1
                 if tel is not None:
-                    delta_size = sum(len(rows) for rows in delta.values())
+                    delta_size = sum(len(rows) for rows in fresh.values())
                     derived_total += delta_size
                     tel.record("fixpoint.round_delta_rows", delta_size)
             if tel is not None:
@@ -331,8 +339,8 @@ def delta_body_matches(
 ) -> Iterator[dict[Variable, Element]]:
     """Body matches of ``rule`` in ``current`` touching at least one ``delta`` fact.
 
-    The semi-naive primitive shared by :meth:`DatalogProgram.least_fixpoint`
-    and the incremental maintenance of :mod:`repro.service.delta`: for every
+    The semi-naive primitive of the tuple-at-a-time reference fixpoint
+    (``least_fixpoint(engine="tuple")``): for every
     body atom in turn, the atom is matched against the delta and the
     remaining atoms are joined against the full instance (selectivity-ordered
     through the engine's join planner).  Matches are deduplicated by their

@@ -256,7 +256,7 @@ def serve_omq_workload(
     one-shot applications to the streaming serving layer.
 
     ``policy`` is the unified :class:`~repro.planner.PlanPolicy` (forced
-    tier, semantic stage, adaptive re-planning, unfolding caps).
+    tier, semantic stage, diagnostics, adaptive re-planning).
     """
     initial = () if initial_instance is None else initial_instance.facts
     if shards > 1:

@@ -52,11 +52,11 @@ from .analysis import (
 )
 from .execute import (
     PlannedMddlogEngine,
+    decide_candidates,
     execute_plan,
     fixpoint_certain_answers,
-    ucq_candidate_certain,
+    plan_consistent,
     ucq_certain_answers,
-    unfolding_consistent,
     vacuous_answers,
     vacuous_decisions,
 )
@@ -79,7 +79,6 @@ from .policy import (
     DEFAULT_ADAPTIVE,
     AdaptivePolicy,
     PlanPolicy,
-    UnfoldCaps,
 )
 from .semantic import (
     SemanticBudget,
@@ -109,27 +108,26 @@ __all__ = [
     "TierCostModel",
     "TierRates",
     "UcqUnfolding",
-    "UnfoldCaps",
     "UnfoldedDisjunct",
     "analyse_program",
     "analyse_rewritability",
     "candidate_plans",
     "clear_plan_artifacts",
     "cross_validate",
+    "decide_candidates",
     "effective_unfold_caps",
     "estimate_cost",
     "estimate_unfolding",
     "execute_plan",
     "fixpoint_certain_answers",
+    "plan_consistent",
     "plan_for_tier",
     "plan_program",
     "plan_workload",
     "program_identity_key",
     "static_rates",
-    "ucq_candidate_certain",
     "ucq_certain_answers",
     "unfold_to_ucq",
-    "unfolding_consistent",
     "vacuous_answers",
     "vacuous_decisions",
 ]

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Mapping
 from ..core.instance import Instance
 from .plan import (
     TIER_FIXPOINT,
-    TIER_GROUND_SAT,
     TIER_NAMES,
     TIER_REWRITE,
     QueryPlan,
@@ -62,19 +61,14 @@ def candidate_plans(program, natural: QueryPlan) -> dict[int, QueryPlan]:
     """Every sound tier's plan for a program, keyed by tier.
 
     ``natural`` (the planner's own — possibly semantic — choice) claims
-    its tier; the remaining tiers are filled by :func:`plan_for_tier`,
-    which raises ``ValueError`` exactly when a tier is unsound for the
-    program — those are skipped, so swapping between the returned plans
-    can never change answers.
+    its tier; the remaining tiers are its :attr:`~repro.planner.plan
+    .QueryPlan.sound_tiers`, forced through :func:`plan_for_tier`, so
+    swapping between the returned plans can never change answers.
     """
     candidates = {natural.tier: natural}
-    for tier in (TIER_REWRITE, TIER_FIXPOINT, TIER_GROUND_SAT):
-        if tier in candidates:
-            continue
-        try:
+    for tier in natural.sound_tiers:
+        if tier not in candidates:
             candidates[tier] = plan_for_tier(program, tier)
-        except ValueError:
-            continue
     return candidates
 
 

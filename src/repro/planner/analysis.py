@@ -25,8 +25,7 @@ estimated in closed form over the IDB call graph
 256 x 24 limits exactly when the estimated UCQ work stays within budget —
 or within a constant factor of the fixpoint alternative's per-read cost —
 so a program with many *small* disjuncts is no longer exiled to tier 1 by
-an arbitrary constant.  Explicit :class:`~repro.planner.policy.UnfoldCaps`
-numbers override the model entirely.
+an arbitrary constant.
 """
 
 from __future__ import annotations
@@ -116,10 +115,6 @@ class UcqUnfolding:
 
     goal_disjuncts: tuple[UnfoldedDisjunct, ...]
     constraint_disjuncts: tuple[UnfoldedDisjunct, ...]
-
-    @property
-    def disjunct_count(self) -> int:
-        return len(self.goal_disjuncts) + len(self.constraint_disjuncts)
 
 
 def _resolve(term, sigma: dict):
@@ -365,38 +360,26 @@ def fixpoint_read_score(program: DisjunctiveDatalogProgram) -> float:
     return float(max(body_atoms, 1) * max(len(idb), 1))
 
 
-def effective_unfold_caps(
-    program: DisjunctiveDatalogProgram,
-    caps=None,
-) -> tuple[int, int]:
+def effective_unfold_caps(program: DisjunctiveDatalogProgram) -> tuple[int, int]:
     """The (max_disjuncts, max_atoms) the planner hands the unfolder.
 
-    ``caps`` is an optional :class:`~repro.planner.policy.UnfoldCaps`;
-    explicit numbers win outright.  Otherwise the decision is the cost
-    model's: estimate the unfolding in closed form and widen the caps past
-    the historical 256 x 24 fixed limits exactly when the estimated work
-    (disjuncts x atoms) stays within the work budget or within
-    ``UNFOLD_FIXPOINT_ADVANTAGE`` x the fixpoint alternative's read score —
-    capped by hard ceilings so a genuine blowup still trips early and
-    degrades to tier 1.
+    The cost model's decision: estimate the unfolding in closed form and
+    widen the caps past the historical 256 x 24 fixed limits exactly when
+    the estimated work (disjuncts x atoms) stays within
+    ``DEFAULT_UNFOLD_WORK_BUDGET`` or within ``UNFOLD_FIXPOINT_ADVANTAGE``
+    x the fixpoint alternative's read score — capped by hard ceilings so a
+    genuine blowup still trips early and degrades to tier 1.
     """
-    if caps is not None and caps.max_disjuncts is not None and caps.max_atoms is not None:
-        return caps.max_disjuncts, caps.max_atoms
-    budget = DEFAULT_UNFOLD_WORK_BUDGET
-    if caps is not None and caps.work_budget is not None:
-        budget = caps.work_budget
     disjuncts, atoms = MAX_UNFOLDED_DISJUNCTS, MAX_DISJUNCT_ATOMS
     estimate = estimate_unfolding(program)
     if estimate is not None:
         est_disjuncts, est_atoms = estimate
         work = float(max(est_disjuncts, 1)) * float(max(est_atoms, 1))
-        allowance = max(budget, UNFOLD_FIXPOINT_ADVANTAGE * fixpoint_read_score(program))
+        allowance = max(
+            DEFAULT_UNFOLD_WORK_BUDGET,
+            UNFOLD_FIXPOINT_ADVANTAGE * fixpoint_read_score(program),
+        )
         if work <= allowance:
             disjuncts = max(disjuncts, min(est_disjuncts, UNFOLD_DISJUNCT_CEILING))
             atoms = max(atoms, min(est_atoms, UNFOLD_ATOM_CEILING))
-    if caps is not None:
-        if caps.max_disjuncts is not None:
-            disjuncts = caps.max_disjuncts
-        if caps.max_atoms is not None:
-            atoms = caps.max_atoms
     return disjuncts, atoms

@@ -4,7 +4,8 @@ Every executor computes exactly the certain answers the ground+CDCL engine
 (:mod:`repro.engine.grounder`) would — including the vacuous-certainty
 convention for inconsistent programs (every tuple over the active domain)
 and the restriction of answers to the active domain — so routing never
-changes answers, only cost:
+changes answers, only cost.  One-shot evaluation, serving sessions and
+the semantic stage's cross-validation all answer through this module:
 
 * tier 0 evaluates the UCQ unfolding disjunct-by-disjunct with the
   engine's join planner directly over the instance indexes;
@@ -28,7 +29,7 @@ from ..datalog.plain import DatalogProgram
 from ..engine.grounder import ground_program
 from ..engine.joins import compile_join, execute_join, join_exists
 from .analysis import UcqUnfolding, UnfoldedDisjunct
-from .plan import TIER_FIXPOINT, TIER_REWRITE, QueryPlan, plan_program
+from .plan import TIER_REWRITE, QueryPlan, plan_program
 
 
 def vacuous_answers(instance: Instance, arity: int) -> frozenset[tuple]:
@@ -150,28 +151,18 @@ def _disjunct_satisfiable(
     return join_exists(plan, instance, seed)
 
 
-def unfolding_consistent(unfolding: UcqUnfolding, instance: Instance) -> bool:
-    """Does some model exist — i.e. no unfolded constraint fires?"""
-    return not any(
-        _disjunct_satisfiable(disjunct, instance)
-        for disjunct in unfolding.constraint_disjuncts
-    )
-
-
 def ucq_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
     """Tier-0 certain answers: evaluate the unfolded UCQ, no grounding."""
-    unfolding = plan.unfolding
-    assert unfolding is not None
-    if not unfolding_consistent(unfolding, instance):
+    if not plan_consistent(plan, instance):
         return vacuous_answers(instance, plan.program.arity)
     domain = sorted(instance.active_domain, key=repr)
     answers: set[tuple] = set()
-    for disjunct in unfolding.goal_disjuncts:
+    for disjunct in plan.unfolding.goal_disjuncts:
         answers.update(_disjunct_answers(disjunct, instance, domain))
     return frozenset(answers)
 
 
-def ucq_candidate_certain(
+def _candidate_certain(
     unfolding: UcqUnfolding, instance: Instance, candidate: tuple
 ) -> bool:
     """Decide one candidate tuple against the unfolded goal.
@@ -217,7 +208,7 @@ def fixpoint_program(plan: QueryPlan) -> DatalogProgram:
 
     For plans carrying a semantic rewriting this is the constructed
     canonical datalog program; otherwise the plan's own rules minus
-    constraints (which :func:`fixpoint_certain_answers` checks against the
+    constraints (which :func:`plan_consistent` checks against the
     materialized minimal model instead).  The result is cached on the plan
     so repeated state (re)builds — adaptive swaps, session compaction —
     reuse one program object and its compiled-rule caches.
@@ -239,31 +230,84 @@ def fixpoint_program(plan: QueryPlan) -> DatalogProgram:
     return result
 
 
-def constraint_fires(rule, fixpoint: Instance) -> bool:
-    """Does a constraint body match the materialized fixpoint?
-
-    ``fixpoint`` holds the derived IDB facts *and* the ``adom`` facts the
-    fixpoint evaluator seeds, so constraint bodies (EDB, IDB and adom
-    atoms alike) are plain joins against it — run depth-first with early
-    exit (:func:`~repro.engine.joins.join_exists`) over the interned rows.
-    """
-    return join_exists(compile_join(rule.body, fixpoint), fixpoint)
-
-
-def fixpoint_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
-    """Tier-1 certain answers: least fixpoint + constraint check, no SAT."""
-    program = plan.execution_program
-    datalog = fixpoint_program(plan)
-    fixpoint = datalog.least_fixpoint(instance)
-    constraints = [rule for rule in program.rules if not rule.head]
-    if any(constraint_fires(rule, fixpoint) for rule in constraints):
-        return vacuous_answers(instance, program.arity)
+def fixpoint_goal_answers(
+    plan: QueryPlan, instance: Instance, fixpoint: Instance
+) -> frozenset[tuple]:
+    """Goal tuples of the materialized fixpoint over ``instance``'s active
+    domain: the certain answers of a consistent disjunction-free program."""
     adom = instance.active_domain
     return frozenset(
         row
-        for row in fixpoint.tuples(program.goal_relation)
+        for row in fixpoint.tuples(plan.execution_program.goal_relation)
         if all(value in adom for value in row)
     )
+
+
+def _minimal_model(
+    plan: QueryPlan, instance: Instance, fixpoint: Instance | None
+) -> Instance | None:
+    """The caller's maintained fixpoint, else a fresh one (none on tier 0)."""
+    if fixpoint is not None or plan.tier == TIER_REWRITE:
+        return fixpoint
+    return fixpoint_program(plan).least_fixpoint(instance)
+
+
+def fixpoint_certain_answers(
+    plan: QueryPlan, instance: Instance, fixpoint: Instance | None = None
+) -> frozenset[tuple]:
+    """Tier-1 certain answers: least fixpoint + constraint check, no SAT."""
+    fixpoint = _minimal_model(plan, instance, fixpoint)
+    if not plan_consistent(plan, instance, fixpoint):
+        return vacuous_answers(instance, plan.program.arity)
+    return fixpoint_goal_answers(plan, instance, fixpoint)
+
+
+# ---------------------------------------------------------------------------
+# Tiers 0 and 1: consistency and candidate decisions
+# ---------------------------------------------------------------------------
+
+
+def plan_consistent(
+    plan: QueryPlan, instance: Instance, fixpoint: Instance | None = None
+) -> bool:
+    """Does some model extend ``instance``?  (SAT-free tiers only.)
+
+    Tier 0 joins the unfolded constraints against the instance.  Tier 1
+    joins the executed program's constraints against the minimal model
+    (``fixpoint`` when the caller maintains it; it holds the seeded
+    ``adom`` facts too): rule bodies are positive, so a constraint firing
+    there fires in every model.
+    """
+    if plan.tier == TIER_REWRITE:
+        return not any(
+            _disjunct_satisfiable(disjunct, instance)
+            for disjunct in plan.unfolding.constraint_disjuncts
+        )
+    fixpoint = _minimal_model(plan, instance, fixpoint)
+    return not any(
+        join_exists(compile_join(rule.body, fixpoint), fixpoint)
+        for rule in plan.execution_program.rules
+        if rule.is_constraint()
+    )
+
+
+def decide_candidates(
+    plan: QueryPlan,
+    instance: Instance,
+    candidates: Sequence[tuple],
+    fixpoint: Instance | None = None,
+) -> dict[tuple, bool]:
+    """Per-candidate verdicts of a SAT-free plan, the no-model rule included."""
+    fixpoint = _minimal_model(plan, instance, fixpoint)
+    if not plan_consistent(plan, instance, fixpoint):
+        return vacuous_decisions(instance, candidates)
+    if plan.tier == TIER_REWRITE:
+        return {
+            candidate: _candidate_certain(plan.unfolding, instance, candidate)
+            for candidate in candidates
+        }
+    answers = fixpoint_goal_answers(plan, instance, fixpoint)
+    return {candidate: candidate in answers for candidate in candidates}
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +316,16 @@ def fixpoint_certain_answers(plan: QueryPlan, instance: Instance) -> frozenset[t
 
 
 def execute_plan(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
-    """Certain answers via the plan's tier."""
+    """Certain answers via the plan's tier, statelessly.
+
+    Tier 0 joins the unfolded UCQ against the instance's indexes; tier 1
+    materializes a fresh fixpoint; tier 2 grounds from scratch.  Nothing
+    outside the call is touched, so this is safe against *any* instance —
+    in particular a serving snapshot older than the live session.
+    """
     if plan.tier == TIER_REWRITE:
         return ucq_certain_answers(plan, instance)
-    if plan.tier == TIER_FIXPOINT:
+    if plan.skips_sat:
         return fixpoint_certain_answers(plan, instance)
     return ground_program(plan.program, instance).certain_answers()
 
@@ -299,13 +349,6 @@ class PlannedMddlogEngine:
 
     def is_certain(self, instance: Instance, answer: Sequence = ()) -> bool:
         answer = tuple(answer)
-        if self.plan.tier == TIER_REWRITE:
-            unfolding = self.plan.unfolding
-            assert unfolding is not None
-            if not unfolding_consistent(unfolding, instance):
-                adom = instance.active_domain
-                return all(value in adom for value in answer)
-            return ucq_candidate_certain(unfolding, instance, answer)
-        if self.plan.tier == TIER_FIXPOINT:
-            return answer in fixpoint_certain_answers(self.plan, instance)
+        if self.plan.skips_sat:
+            return decide_candidates(self.plan, instance, [answer])[answer]
         return ground_program(self.program, instance).holds(answer)

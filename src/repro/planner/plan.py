@@ -37,7 +37,7 @@ rates from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from ..core.cq import Variable, canonical_atoms
@@ -53,7 +53,7 @@ from .analysis import (
     effective_unfold_caps,
     unfold_to_ucq,
 )
-from .policy import PlanPolicy, UnfoldCaps
+from .policy import PlanPolicy
 from .semantic import DEFAULT_BUDGET, SemanticReport
 
 TIER_REWRITE = 0
@@ -63,6 +63,17 @@ TIER_NAMES = {
     TIER_REWRITE: "ucq-rewrite",
     TIER_FIXPOINT: "datalog-fixpoint",
     TIER_GROUND_SAT: "ground+cdcl",
+}
+
+#: Why a syntactic classification keeps a program off the cheaper tiers
+#: (``QueryPlan.pin``), mapped to the cheapest tier that stays sound.  A
+#: plan's sound tiers run from that floor up to tier 2.
+PIN_FLOORS = {
+    None: TIER_REWRITE,
+    "unfolding-caps": TIER_FIXPOINT,
+    "recursion": TIER_FIXPOINT,
+    "disjunction": TIER_GROUND_SAT,
+    "adom": TIER_GROUND_SAT,
 }
 
 
@@ -102,11 +113,18 @@ class CostEstimate:
 class QueryPlan:
     """An explainable routing decision for one compiled program.
 
+    ``pin`` is the syntactic classification's record of *why* the
+    program cannot go cheaper (a :data:`PIN_FLOORS` key), and
+    :attr:`sound_tiers` follows from it alone: every consumer that asks
+    which tiers are sound — :func:`plan_for_tier`, adaptive
+    re-planning, the analyzer's MD2xx diagnostics — reads this record.
+
     Plans produced by the semantic stage (:mod:`repro.planner.semantic`)
-    additionally carry the constructed artifact — ``unfolding`` holds an
-    obstruction-set UCQ for tier 0, ``rewritten`` a canonical datalog
-    program for tier 1 — plus the :class:`SemanticReport` documenting the
-    decision and its cross-validation.
+    keep the syntactic plan's ``pin`` and additionally carry the
+    constructed artifact — ``unfolding`` holds an obstruction-set UCQ for
+    tier 0, ``rewritten`` a canonical datalog program for tier 1 — plus
+    the :class:`SemanticReport` documenting the decision and its
+    cross-validation.
     """
 
     tier: int
@@ -116,10 +134,16 @@ class QueryPlan:
     unfolding: UcqUnfolding | None = field(repr=False, default=None)
     rewritten: DisjunctiveDatalogProgram | None = field(repr=False, default=None)
     semantic: SemanticReport | None = field(default=None)
+    pin: str | None = None
 
     @property
     def tier_name(self) -> str:
         return TIER_NAMES[self.tier]
+
+    @property
+    def sound_tiers(self) -> tuple[int, ...]:
+        """The tiers that compute the program's certain answers, syntactically."""
+        return tuple(range(PIN_FLOORS[self.pin], TIER_GROUND_SAT + 1))
 
     @property
     def skips_sat(self) -> bool:
@@ -167,10 +191,9 @@ SEMANTIC_ROUTING_DEFAULT = True
 # program, so a (weak-keyed) global cache whose values point back at the
 # keys would keep every program — and its materialized rewritings — alive
 # forever.  Attribute storage couples the cache entry's lifetime to the
-# program's own.  Syntactic plans are keyed by the resolved unfolding
-# caps (the cost model's — or an explicit ``UnfoldCaps`` — decision);
-# semantic plans by budget.
-_SYNTACTIC_PLANS_ATTR = "_planner_syntactic_plans"
+# program's own.  A program has one syntactic plan; semantic plans are
+# keyed by budget.
+_SYNTACTIC_PLAN_ATTR = "_planner_syntactic_plan"
 _SEMANTIC_PLANS_ATTR = "_planner_semantic_plans"
 
 
@@ -185,8 +208,8 @@ def plan_program(
     bypass the semantic stage entirely).
 
     Syntactic classification always runs first (and is cached on the
-    program object, per resolved unfolding caps).  When it lands on tier 2
-    and ``policy.semantic`` is enabled (the default, see
+    program object).  When it lands on tier 2 and ``policy.semantic`` is
+    enabled (the default, see
     ``SEMANTIC_ROUTING_DEFAULT``), the semantic stage of
     :mod:`repro.planner.semantic` attempts to *construct* an FO- or
     datalog-rewriting within the budget and route the program to tier 0/1;
@@ -206,25 +229,20 @@ def plan_program(
     if policy is None:
         policy = PlanPolicy()
     if policy.tier is not None:
-        return plan_for_tier(program, policy.tier, caps=policy.unfold_caps)
+        return plan_for_tier(program, policy.tier)
     resolved_check = policy.resolved_check("off")
     if resolved_check != "off":
         from ..analysis import vet_program
 
         vet_program(program, resolved_check, label="plan_program")
     tel = _telemetry.ACTIVE
-    caps_key = effective_unfold_caps(program, policy.unfold_caps)
-    syntactic_plans = getattr(program, _SYNTACTIC_PLANS_ATTR, None)
-    if syntactic_plans is None:
-        syntactic_plans = {}
-        setattr(program, _SYNTACTIC_PLANS_ATTR, syntactic_plans)
-    plan = syntactic_plans.get(caps_key)
+    plan = getattr(program, _SYNTACTIC_PLAN_ATTR, None)
     if plan is None:
         if tel is not None:
             tel.count("planner.plan_cache_misses")
         with _telemetry.maybe_span("planner.classify"):
-            plan = _classify(program, caps_key)
-        syntactic_plans[caps_key] = plan
+            plan = _classify(program)
+        setattr(program, _SYNTACTIC_PLAN_ATTR, plan)
         if tel is not None:
             tel.event(
                 "planner.tier_decision",
@@ -271,13 +289,8 @@ def plan_program(
     return semantic_plan
 
 
-def _classify(
-    program: DisjunctiveDatalogProgram,
-    caps: tuple[int, int] | None = None,
-) -> QueryPlan:
-    max_disjuncts, max_atoms = (
-        caps if caps is not None else effective_unfold_caps(program)
-    )
+def _classify(program: DisjunctiveDatalogProgram) -> QueryPlan:
+    """The syntactic plan: the one place tier soundness is decided."""
     shape = analyse_program(program)
     if shape.defines_adom:
         return QueryPlan(
@@ -286,6 +299,7 @@ def _classify(
             "engine implements that faithfully",
             program,
             shape,
+            pin="adom",
         )
     if not shape.disjunction_free:
         return QueryPlan(
@@ -294,6 +308,7 @@ def _classify(
             "answers need the ground-once + incremental CDCL engine",
             program,
             shape,
+            pin="disjunction",
         )
     if shape.recursive:
         shown = ", ".join(shape.recursive_relations[:4])
@@ -303,7 +318,9 @@ def _classify(
             f"{shown}: semi-naive least fixpoint, no SAT",
             program,
             shape,
+            pin="recursion",
         )
+    max_disjuncts, max_atoms = effective_unfold_caps(program)
     unfolding = unfold_to_ucq(program, max_disjuncts, max_atoms)
     if unfolding is None:
         return QueryPlan(
@@ -313,6 +330,7 @@ def _classify(
             f"{max_atoms} atoms): semi-naive least fixpoint, no SAT",
             program,
             shape,
+            pin="unfolding-caps",
         )
     return QueryPlan(
         TIER_REWRITE,
@@ -327,53 +345,38 @@ def _classify(
     )
 
 
-def plan_for_tier(
-    program: DisjunctiveDatalogProgram,
-    tier: int,
-    caps: UnfoldCaps | None = None,
-) -> QueryPlan:
+def plan_for_tier(program: DisjunctiveDatalogProgram, tier: int) -> QueryPlan:
     """Force a specific tier (for cross-validation and benchmarks).
 
-    Raises ``ValueError`` when the tier is not sound for the program:
-    tier 2 is always legal, tier 1 needs a disjunction-free program, and
-    tier 0 additionally needs the UCQ unfolding to exist (under ``caps``,
-    by default the cost model's).  Forcing is a *syntactic* notion: it
-    bypasses (and thereby overrides) the semantic stage entirely, so
-    ``plan_for_tier(p, TIER_GROUND_SAT)`` pins a semantically rewritable
-    program to the ground+CDCL engine.
+    Raises ``ValueError`` when the tier is not among the syntactic plan's
+    :attr:`~QueryPlan.sound_tiers`: tier 2 is always legal, tier 1 needs a
+    disjunction-free program, and tier 0 additionally needs the UCQ
+    unfolding to exist within the cost model's caps.  Forcing is a
+    *syntactic* notion: it bypasses (and thereby overrides) the semantic
+    stage entirely, so ``plan_for_tier(p, TIER_GROUND_SAT)`` pins a
+    semantically rewritable program to the ground+CDCL engine.
     """
     if tier not in TIER_NAMES:
         raise ValueError(f"unknown tier {tier!r}; expected one of {sorted(TIER_NAMES)}")
-    natural = plan_program(program, PlanPolicy(semantic=False, unfold_caps=caps))
+    natural = plan_program(program, PlanPolicy(semantic=False))
     if tier == natural.tier:
         return natural
-    shape = natural.shape
-    if tier == TIER_GROUND_SAT:
-        return QueryPlan(
-            TIER_GROUND_SAT, "forced to the ground+CDCL tier", program, shape
-        )
-    if shape.defines_adom or not shape.disjunction_free:
+    if tier not in natural.sound_tiers:
+        if natural.pin == "recursion":
+            raise ValueError(
+                "tier 0 is unsound for this program: recursive through "
+                + ", ".join(natural.shape.recursive_relations)
+            )
+        if natural.pin == "unfolding-caps":
+            raise ValueError(
+                "tier 0 is unavailable: the UCQ unfolding exceeds its caps"
+            )
         raise ValueError(
             f"tier {tier} is unsound for this program: {natural.rationale}"
         )
-    if tier == TIER_FIXPOINT:
-        return QueryPlan(
-            TIER_FIXPOINT, "forced to the fixpoint tier", program, shape
-        )
-    if shape.recursive:
-        raise ValueError(
-            "tier 0 is unsound for this program: recursive through "
-            + ", ".join(shape.recursive_relations)
-        )
-    unfolding = natural.unfolding
-    if unfolding is None:
-        unfolding = unfold_to_ucq(program, *effective_unfold_caps(program, caps))
-    if unfolding is None:
-        raise ValueError(
-            "tier 0 is unavailable: the UCQ unfolding exceeds its caps"
-        )
-    return QueryPlan(
-        TIER_REWRITE, "forced to the UCQ-rewrite tier", program, shape, unfolding
+    forced = "ground+CDCL" if tier == TIER_GROUND_SAT else "fixpoint"
+    return replace(
+        natural, tier=tier, rationale=f"forced to the {forced} tier", unfolding=None
     )
 
 
@@ -404,7 +407,7 @@ _IDENTITY_KEY_ATTR = "_planner_identity_key"
 #: Per-program attribute caches cleared when ``PlanCache`` evicts a
 #: representative (each is rebuilt on demand by its owning layer).
 PLAN_ARTIFACT_ATTRS = (
-    _SYNTACTIC_PLANS_ATTR,  # syntactic QueryPlans, keyed by unfold caps
+    _SYNTACTIC_PLAN_ATTR,  # the syntactic QueryPlan
     _SEMANTIC_PLANS_ATTR,  # semantic QueryPlans, keyed by budget
     "_ground_plan_cache",  # engine/grounder.py per-rule ground plans
     "_columnar_compiled",  # datalog/plain.py compiled columnar rules

@@ -8,10 +8,9 @@ entry point — :class:`~repro.service.session.ObdaSession`,
 :func:`~repro.planner.plan.plan_workload`,
 :func:`~repro.obda.applications.serve_omq_workload` and
 :func:`~repro.obda.applications.plan_omq_workload` — takes it as
-``policy=`` and has no other planner keyword.  Two nested knobs refine it:
+``policy=`` and has no other planner keyword.  One nested knob refines it:
 :class:`AdaptivePolicy` (live re-planning of serving sessions, see
-:mod:`repro.planner.adaptive`) and :class:`UnfoldCaps` (cost-based tier-0
-unfolding limits, see :func:`repro.planner.analysis.effective_unfold_caps`).
+:mod:`repro.planner.adaptive`).
 """
 
 from __future__ import annotations
@@ -21,24 +20,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .semantic import SemanticBudget
-
-
-@dataclass(frozen=True)
-class UnfoldCaps:
-    """Limits on the tier-0 UCQ unfolding.
-
-    ``max_disjuncts`` / ``max_atoms`` pin the caps exactly (the historical
-    fixed behavior is ``UnfoldCaps(256, 24)``).  Leaving either ``None``
-    delegates to the cost model
-    (:func:`repro.planner.analysis.effective_unfold_caps`): the unfolding
-    size is estimated from the IDB call graph and admitted when its
-    work — disjuncts x atoms — stays within ``work_budget`` or within a
-    constant factor of the fixpoint alternative's per-read cost.
-    """
-
-    max_disjuncts: int | None = None
-    max_atoms: int | None = None
-    work_budget: float | None = None
 
 
 @dataclass(frozen=True)
@@ -100,8 +81,6 @@ class PlanPolicy:
       ``"warn"``, bare planning ``"off"``).
     * ``adaptive`` — ``True`` / an :class:`AdaptivePolicy` to enable live
       re-planning in serving sessions; ``None`` / ``False`` disables it.
-    * ``unfold_caps`` — tier-0 unfolding limits (:class:`UnfoldCaps`);
-      ``None`` uses the cost-based default.
     """
 
     tier: int | None = None
@@ -109,7 +88,6 @@ class PlanPolicy:
     semantic_budget: "SemanticBudget | None" = None
     check: str | None = None
     adaptive: "AdaptivePolicy | bool | None" = None
-    unfold_caps: UnfoldCaps | None = None
 
     def resolved_adaptive(self) -> AdaptivePolicy | None:
         """The effective adaptive policy, or ``None`` when disabled."""

@@ -916,7 +916,7 @@ def cross_validate(
     re-certify a routed rewriting at any scale.
     """
     from ..datalog.evaluation import has_model_avoiding
-    from .execute import execute_plan
+    from .execute import execute_plan, plan_consistent
     from .plan import TIER_GROUND_SAT, plan_for_tier
 
     reference_plan = plan_for_tier(program, TIER_GROUND_SAT)
@@ -934,8 +934,8 @@ def cross_validate(
                 f"rewriting diverges from ground+CDCL on {data!r}: "
                 f"{sorted(got, key=repr)} != {sorted(expected, key=repr)}"
             )
-        consistent = _plan_consistent(candidate_plan, data)
-        if consistent is not None:
+        if candidate_plan.skips_sat:
+            consistent = plan_consistent(candidate_plan, data)
             reference_consistent = has_model_avoiding(program, data, [])
             if consistent != reference_consistent:
                 raise ValueError(
@@ -944,22 +944,6 @@ def cross_validate(
                 )
         checked += 1
     return checked
-
-
-def _plan_consistent(plan, data: Instance) -> bool | None:
-    """The candidate plan's consistency verdict (None when not SAT-free)."""
-    from .execute import constraint_fires, fixpoint_program, unfolding_consistent
-    from .plan import TIER_FIXPOINT, TIER_REWRITE
-
-    if plan.tier == TIER_REWRITE and plan.unfolding is not None:
-        return unfolding_consistent(plan.unfolding, data)
-    if plan.tier == TIER_FIXPOINT:
-        constraints = [
-            rule for rule in plan.execution_program.rules if rule.is_constraint()
-        ]
-        fixpoint = fixpoint_program(plan).least_fixpoint(data)
-        return not any(constraint_fires(rule, fixpoint) for rule in constraints)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1053,15 +1037,14 @@ def _analyse_rewritability(
                 if constructed is None:
                     continue  # some template had no obstruction: larger bound
                 unfolding, obstructions = constructed
-                candidate = QueryPlan(
-                    TIER_REWRITE,
-                    "semantic routing (Theorem 5.10 via finite duality): "
+                candidate = replace(
+                    syntactic,
+                    tier=TIER_REWRITE,
+                    rationale="semantic routing (Theorem 5.10 via finite duality): "
                     "FO-rewritable; obstruction-set UCQ with "
                     f"{len(unfolding.goal_disjuncts)} disjunct(s) over "
                     f"{len(pruned)} template(s) runs on the tier-0 executor",
-                    program,
-                    syntactic.shape,
-                    unfolding,
+                    unfolding=unfolding,
                 )
                 try:
                     validated = cross_validate(program, candidate, budget, deadline)
@@ -1153,14 +1136,13 @@ def _analyse_rewritability(
             rewritten = _canonical_datalog_rewriting(
                 pruned, family.arity, budget, deadline
             )
-            candidate = QueryPlan(
-                TIER_FIXPOINT,
-                "semantic routing (Theorem 5.10 via bounded width): "
+            candidate = replace(
+                syntactic,
+                tier=TIER_FIXPOINT,
+                rationale="semantic routing (Theorem 5.10 via bounded width): "
                 "datalog-rewritable; the canonical arc-consistency program "
                 f"({len(rewritten.rules)} rules over {len(pruned)} "
                 "template(s)) runs on the tier-1 fixpoint",
-                program,
-                syntactic.shape,
                 rewritten=rewritten,
             )
             try:

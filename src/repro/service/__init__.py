@@ -24,7 +24,7 @@ from .frontend import (
     ReadResult,
     replay_commit_log,
 )
-from .session import ObdaSession, SessionSnapshot, SessionStats, evaluate_plan_at
+from .session import ObdaSession, SessionSnapshot, SessionStats
 from .shards import (
     ShardedObdaSession,
     ShardedStats,
@@ -65,7 +65,6 @@ __all__ = [
     "StreamReport",
     "adom_guard",
     "deletes",
-    "evaluate_plan_at",
     "fact_guard",
     "from_scratch_answers",
     "from_scratch_stream_cost",

@@ -44,7 +44,7 @@ from ..core.instance import Fact, Instance, MutableIndexedInstance
 from ..core.interning import Interner, IntRow
 from ..core.schema import RelationSymbol
 from ..datalog.ddlog import ADOM, GOAL, DisjunctiveDatalogProgram
-from ..datalog.plain import DatalogProgram, seed_row_builder
+from ..datalog.plain import DatalogProgram, seed_row_builder, semi_naive_rounds
 from ..engine.grounder import _split_body
 from ..engine.joins import JoinPlan, compile_join, execute_join, join_exists
 from ..engine.sat import Clause
@@ -377,16 +377,6 @@ class IncrementalFixpoint:
     def fixpoint(self) -> Instance:
         return self._fixpoint
 
-    def goal_answers(self) -> frozenset[tuple]:
-        """Goal tuples over the active domain (the certain answers of a
-        disjunction-free program)."""
-        adom = self._edb.active_domain
-        return frozenset(
-            row
-            for row in self._fixpoint.tuples(self.program.goal_relation)
-            if all(value in adom for value in row)
-        )
-
     # -- updates ---------------------------------------------------------------
 
     def insert(self, facts: Iterable[Fact]) -> None:
@@ -495,35 +485,16 @@ class IncrementalFixpoint:
     # -- semi-naive propagation ------------------------------------------------
 
     def _propagate(self, delta_facts: list[Fact]) -> None:
-        # One mutable columnar store across all semi-naive rounds (same
-        # pattern as DatalogProgram.least_fixpoint): each round seeds the
-        # cached compiled plans with the previous round's delta batches, a
-        # round's derivations are buffered and applied at the round
-        # boundary, and the store is frozen once at saturation.
+        # One mutable columnar store across all semi-naive rounds (the
+        # rounds DatalogProgram.least_fixpoint runs), frozen once at
+        # saturation.
         current = MutableIndexedInstance(self._fixpoint)
-        compiled = self.program.compiled_rules(current)
         interner = current.interner
         delta: dict[RelationSymbol, list[IntRow]] = {}
         for fact in delta_facts:
             row = interner.intern_row(fact.arguments)
             if current.add_row(fact.relation, row):
                 delta.setdefault(fact.relation, []).append(row)
-        while delta:
-            pending: dict[RelationSymbol, set[IntRow]] = {}
-            for crule in compiled:
-                head_relation = crule.rule.head[0].relation
-                derived = pending.get(head_relation)
-                for build_head, rows in crule.delta_result_rows(current, delta):
-                    for row in rows:
-                        head_row = build_head(row)
-                        if current.has_row(head_relation, head_row):
-                            continue
-                        if derived is None:
-                            derived = pending.setdefault(head_relation, set())
-                        derived.add(head_row)
-            delta = {}
-            for relation, rows in pending.items():
-                fresh = [row for row in rows if current.add_row(relation, row)]
-                if fresh:
-                    delta[relation] = fresh
+        for _ in semi_naive_rounds(self.program.compiled_rules(current), current, delta):
+            pass
         self._fixpoint = current.freeze()

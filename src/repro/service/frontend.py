@@ -57,7 +57,7 @@ from ..datalog.ddlog import DisjunctiveDatalogProgram
 from ..obs import telemetry as _telemetry
 from ..obs.telemetry import Reservoir
 from ..planner import PlanCache, PlanPolicy, plan_program
-from .session import DEFAULT_QUERY, ObdaSession, SessionSnapshot, _compile
+from .session import DEFAULT_QUERY, ObdaSession, SessionSnapshot, _compile, resolve_query
 
 __all__ = [
     "FaultInjector",
@@ -260,17 +260,6 @@ class _Tenant:
             "p99_s": self.latency.quantile(0.99),
             "last_rejection": self.last_rejection,
         }
-
-
-def _resolve_query(session, name: str | None) -> str:
-    names = session.query_names
-    if name is None:
-        if len(names) == 1:
-            return names[0]
-        raise ValueError(f"session serves {sorted(names)}; pass a query name")
-    if name not in names:
-        raise KeyError(f"unknown query {name!r}; session serves {sorted(names)}")
-    return name
 
 
 class Frontend:
@@ -576,7 +565,7 @@ class Frontend:
         self, record: _Tenant, name: str | None, verdict: str
     ) -> ReadResult:
         group = record.group
-        resolved = _resolve_query(group.session, name)
+        resolved = resolve_query(group.session.query_names, name)
         start = _telemetry.now()
         self._inflight_reads += 1
         try:

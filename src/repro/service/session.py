@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 from ..analysis import vet_program
 from ..core.instance import Fact, Instance
 from ..datalog.ddlog import DisjunctiveDatalogProgram
-from ..engine.grounder import certain_goal_atoms, ground_program
+from ..engine.grounder import certain_goal_atoms
 from ..engine.sat import ClauseSolver
 from ..obs import telemetry as _telemetry
 from ..omq.query import OntologyMediatedQuery
@@ -56,23 +56,32 @@ from ..planner import (
     TIER_FIXPOINT,
     TIER_REWRITE,
     QueryPlan,
+    decide_candidates,
+    execute_plan,
+    fixpoint_certain_answers,
+    plan_consistent,
     plan_program,
-    ucq_candidate_certain,
     ucq_certain_answers,
-    unfolding_consistent,
-)
-from ..planner.adaptive import AdaptiveController, candidate_plans
-from ..planner.execute import (
-    constraint_fires,
-    fixpoint_program,
-    vacuous_answers,
     vacuous_decisions,
 )
+from ..planner.adaptive import AdaptiveController, candidate_plans
+from ..planner.execute import fixpoint_program
 from ..planner.policy import PlanPolicy
 from .delta import DeltaGrounder, IncrementalFixpoint, fact_guard
 from .explain import EXPLAIN_SCHEMA
 
 DEFAULT_QUERY = "q"
+
+
+def resolve_query(names, name: str | None, owner: str = "session") -> str:
+    """The query ``name`` picks among ``names``; ``None`` picks the only one."""
+    if name is None:
+        if len(names) == 1:
+            return next(iter(names))
+        raise ValueError(f"{owner} serves {sorted(names)}; pass a query name")
+    if name not in names:
+        raise KeyError(f"unknown query {name!r}; {owner} serves {sorted(names)}")
+    return name
 
 
 def _compile(entry) -> DisjunctiveDatalogProgram:
@@ -87,7 +96,20 @@ def _compile(entry) -> DisjunctiveDatalogProgram:
     )
 
 
-class _SatState:
+class _State:
+    """One query's serving state: answers from the warm state of its tier."""
+
+    plan: QueryPlan
+
+    @property
+    def program(self) -> DisjunctiveDatalogProgram:
+        return self.plan.program
+
+    def is_certain(self, instance: Instance, answer: tuple) -> bool:
+        return self.decide_batch(instance, [answer])[answer]
+
+
+class _SatState(_State):
     """Tier 2: guarded ground program + persistent CDCL solver for one query.
 
     ``_consistent`` keeps the last assumption-free verdict (a screening
@@ -96,7 +118,6 @@ class _SatState:
 
     def __init__(self, plan: QueryPlan) -> None:
         self.plan = plan
-        self.program = plan.program
         self.grounder = DeltaGrounder(self.program)
         self.solver = ClauseSolver()
         for negative, positive in self.grounder.bootstrap_clauses():
@@ -147,64 +168,25 @@ class _SatState:
             return vacuous_decisions(instance, candidates)
         return {candidate: (goal, candidate) in certain for candidate in candidates}
 
-    def is_certain(self, instance: Instance, answer: tuple) -> bool:
-        return self.decide_batch(instance, [answer])[answer]
 
+class _SatFreeState(_State):
+    """Tiers 0 and 1: the planner's SAT-free executor answers every query.
 
-class _FixpointState:
-    """Tier 1: materialized incremental fixpoint for a disjunction-free query.
-
-    Constraints (empty-headed rules) are checked against the materialized
-    minimal model at query time: rule bodies are positive, so a constraint
-    body satisfied in the least fixpoint is satisfied in *every* model, in
-    which case no model exists and every tuple over the active domain is
-    vacuously certain (the same convention as the SAT tier).
+    ``model`` is the tier-1 materialization it reads (none on tier 0).
     """
 
-    def __init__(self, plan: QueryPlan, instance: Instance | None = None) -> None:
-        self.plan = plan
-        self.program = plan.program
-        # Constraints of the program the tier actually executes: a semantic
-        # canonical-datalog rewriting has none (template incompatibilities
-        # are already encoded in its image-set rules).
-        self.constraints = [
-            rule
-            for rule in plan.execution_program.rules
-            if rule.is_constraint()
-        ]
-        self.fixpoint = IncrementalFixpoint(fixpoint_program(plan), instance=instance)
-
-    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
-        self.fixpoint.insert(delta)
-        return 0
-
-    def delete(self, removed: Iterable[Fact]) -> None:
-        self.fixpoint.delete(removed)
+    model: Instance | None = None
 
     def is_consistent(self, instance: Instance) -> bool:
-        return not any(
-            constraint_fires(rule, self.fixpoint.fixpoint)
-            for rule in self.constraints
-        )
-
-    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
-        if not self.is_consistent(instance):
-            return vacuous_answers(instance, self.program.arity)
-        return self.fixpoint.goal_answers()
+        return plan_consistent(self.plan, instance, self.model)
 
     def decide_batch(
         self, instance: Instance, candidates: Sequence[tuple]
     ) -> dict[tuple, bool]:
-        if not self.is_consistent(instance):
-            return vacuous_decisions(instance, candidates)
-        answers = self.fixpoint.goal_answers()
-        return {candidate: candidate in answers for candidate in candidates}
-
-    def is_certain(self, instance: Instance, answer: tuple) -> bool:
-        return self.decide_batch(instance, [answer])[answer]
+        return decide_candidates(self.plan, instance, candidates, self.model)
 
 
-class _UcqState:
+class _UcqState(_SatFreeState):
     """Tier 0: stateless UCQ evaluation against the live instance indexes.
 
     Nothing is maintained under updates — the unfolded goal and constraint
@@ -216,8 +198,6 @@ class _UcqState:
     def __init__(self, plan: QueryPlan) -> None:
         assert plan.unfolding is not None
         self.plan = plan
-        self.program = plan.program
-        self.unfolding = plan.unfolding
 
     def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
         return 0  # nothing to maintain
@@ -225,39 +205,36 @@ class _UcqState:
     def delete(self, removed: Iterable[Fact]) -> None:
         pass  # nothing to maintain
 
-    def is_consistent(self, instance: Instance) -> bool:
-        return unfolding_consistent(self.unfolding, instance)
-
     def certain_answers(self, instance: Instance) -> frozenset[tuple]:
         return ucq_certain_answers(self.plan, instance)
 
-    def decide_batch(
-        self, instance: Instance, candidates: Sequence[tuple]
-    ) -> dict[tuple, bool]:
-        if not self.is_consistent(instance):
-            return vacuous_decisions(instance, candidates)
-        return {
-            candidate: ucq_candidate_certain(self.unfolding, instance, candidate)
-            for candidate in candidates
-        }
 
-    def is_certain(self, instance: Instance, answer: tuple) -> bool:
-        return self.decide_batch(instance, [answer])[answer]
+class _FixpointState(_SatFreeState):
+    """Tier 1: materialized incremental fixpoint for a disjunction-free query.
 
-
-def evaluate_plan_at(plan: QueryPlan, instance: Instance) -> frozenset[tuple]:
-    """Certain answers of a plan on an arbitrary frozen instance, statelessly.
-
-    Tier 0 joins the unfolded UCQ against the instance's indexes; tier 1
-    materializes a fresh fixpoint; tier 2 grounds from scratch.  No
-    session state is touched, so this is safe against *any* instance —
-    in particular a snapshot older than the live one.
+    The planner's executor answers from the maintained minimal model:
+    constraints are checked against it at query time, and a firing one
+    makes every tuple over the active domain vacuously certain (the same
+    convention as the SAT tier).
     """
-    if plan.tier == TIER_REWRITE:
-        return _UcqState(plan).certain_answers(instance)
-    if plan.tier == TIER_FIXPOINT:
-        return _FixpointState(plan, instance=instance).certain_answers(instance)
-    return ground_program(plan.program, instance).certain_answers()
+
+    def __init__(self, plan: QueryPlan, instance: Instance | None = None) -> None:
+        self.plan = plan
+        self.fixpoint = IncrementalFixpoint(fixpoint_program(plan), instance=instance)
+
+    @property
+    def model(self) -> Instance:
+        return self.fixpoint.fixpoint
+
+    def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
+        self.fixpoint.insert(delta)
+        return 0
+
+    def delete(self, removed: Iterable[Fact]) -> None:
+        self.fixpoint.delete(removed)
+
+    def certain_answers(self, instance: Instance) -> frozenset[tuple]:
+        return fixpoint_certain_answers(self.plan, instance, self.model)
 
 
 class SessionSnapshot:
@@ -269,8 +246,8 @@ class SessionSnapshot:
     session.  Reads take the warm path (the session's own tier state)
     while the session still serves the pinned instance; once the session
     has moved on, answers are recomputed statelessly against the pinned
-    instance via :func:`evaluate_plan_at` and memoized, so concurrent
-    readers of a superseded version pay the recompute once.
+    instance via :func:`~repro.planner.execute_plan` and memoized, so
+    concurrent readers of a superseded version pay the recompute once.
     """
 
     def __init__(
@@ -297,24 +274,11 @@ class SessionSnapshot:
         return session is not None and session.instance is self.instance
 
     def plan(self, name: str | None = None) -> QueryPlan:
-        return self._plans[self._resolve_name(name)]
-
-    def _resolve_name(self, name: str | None) -> str:
-        if name is None:
-            if len(self._plans) == 1:
-                return next(iter(self._plans))
-            raise ValueError(
-                f"snapshot serves {sorted(self._plans)}; pass a query name"
-            )
-        if name not in self._plans:
-            raise KeyError(
-                f"unknown query {name!r}; snapshot serves {sorted(self._plans)}"
-            )
-        return name
+        return self._plans[resolve_query(self._plans, name, "snapshot")]
 
     def certain_answers(self, name: str | None = None) -> frozenset[tuple]:
         """Certain answers of the (named) query at this snapshot's version."""
-        resolved = self._resolve_name(name)
+        resolved = resolve_query(self._plans, name, "snapshot")
         answers = self._answers.get(resolved)
         if answers is not None:
             return answers
@@ -324,7 +288,7 @@ class SessionSnapshot:
             tel = _telemetry.ACTIVE
             if tel is not None:
                 tel.count("session.snapshot_recomputes")
-            answers = evaluate_plan_at(self._plans[resolved], self.instance)
+            answers = execute_plan(self._plans[resolved], self.instance)
         self._answers[resolved] = answers
         return answers
 
@@ -603,21 +567,8 @@ class ObdaSession:
         adaptive["replans"] = replans
         return {"schema": EXPLAIN_SCHEMA, "queries": queries, "adaptive": adaptive}
 
-    def _resolve_name(self, name: str | None) -> str:
-        if name is None:
-            if len(self._states) == 1:
-                return next(iter(self._states))
-            raise ValueError(
-                f"session serves {sorted(self._states)}; pass a query name"
-            )
-        if name not in self._states:
-            raise KeyError(
-                f"unknown query {name!r}; session serves {sorted(self._states)}"
-            )
-        return name
-
     def _state(self, name: str | None) -> "_SatState | _FixpointState | _UcqState":
-        return self._states[self._resolve_name(name)]
+        return self._states[resolve_query(self._states, name)]
 
     # -- serving-state lifecycle ----------------------------------------------
 
@@ -803,29 +754,29 @@ class ObdaSession:
         """
         return self._state(name).is_consistent(self._instance)
 
-    def certain_answers(self, name: str | None = None) -> frozenset[tuple]:
-        """The certain answers of the (named) query on the current instance."""
-        resolved = self._resolve_name(name)
+    def _query(self, name: str | None, kind: str, ask, **attributes):
+        """Ask the (named) query's warm state once, timed and recorded."""
+        resolved = resolve_query(self._states, name)
         start = _telemetry.now()
         with _telemetry.maybe_span(
-            "session.query", query=resolved, kind="certain_answers"
+            "session.query", query=resolved, kind=kind, **attributes
         ):
-            answers = self._states[resolved].certain_answers(self._instance)
+            result = ask(self._states[resolved])
         self._record_query(resolved, _telemetry.now() - start)
-        return answers
+        return result
+
+    def certain_answers(self, name: str | None = None) -> frozenset[tuple]:
+        """The certain answers of the (named) query on the current instance."""
+        return self._query(
+            name, "certain_answers", lambda state: state.certain_answers(self._instance)
+        )
 
     def is_certain(self, answer: Sequence = (), name: str | None = None) -> bool:
         """Does the tuple belong to the certain answers right now?"""
-        resolved = self._resolve_name(name)
-        start = _telemetry.now()
-        with _telemetry.maybe_span(
-            "session.query", query=resolved, kind="is_certain"
-        ):
-            result = self._states[resolved].is_certain(
-                self._instance, tuple(answer)
-            )
-        self._record_query(resolved, _telemetry.now() - start)
-        return result
+        answer = tuple(answer)
+        return self._query(
+            name, "is_certain", lambda state: state.is_certain(self._instance, answer)
+        )
 
     def answer_batch(
         self,
@@ -833,15 +784,13 @@ class ObdaSession:
         name: str | None = None,
     ) -> dict[tuple, bool]:
         """Decide a batch of candidate tuples in one pass over the warm state."""
-        resolved = self._resolve_name(name)
         batch = [tuple(candidate) for candidate in candidates]
-        start = _telemetry.now()
-        with _telemetry.maybe_span(
-            "session.query", query=resolved, kind="answer_batch", batch=len(batch)
-        ):
-            decided = self._states[resolved].decide_batch(self._instance, batch)
-        self._record_query(resolved, _telemetry.now() - start)
-        return decided
+        return self._query(
+            name,
+            "answer_batch",
+            lambda state: state.decide_batch(self._instance, batch),
+            batch=len(batch),
+        )
 
     def answer_all(self) -> dict[str, frozenset[tuple]]:
         """Certain answers of every query in the workload."""

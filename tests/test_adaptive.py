@@ -35,7 +35,6 @@ from repro.planner import (
     PlannedMddlogEngine,
     PlanPolicy,
     TierCostModel,
-    UnfoldCaps,
     candidate_plans,
     effective_unfold_caps,
     execute_plan,
@@ -142,9 +141,8 @@ def test_removed_planner_keywords_are_type_errors():
         "semantic_budget",
         "check",
         "adaptive",
-        "unfold_caps",
     ]
-    for removed in ("parallel", "chunk_size"):
+    for removed in ("parallel", "chunk_size", "unfold_caps"):
         with pytest.raises(TypeError, match=removed):
             PlanPolicy(**{removed: None})
     omq = ancestry_omq()
@@ -462,11 +460,3 @@ def test_effective_caps_default_to_the_historical_floor():
         MAX_UNFOLDED_DISJUNCTS,
         MAX_DISJUNCT_ATOMS,
     )
-
-
-def test_explicit_caps_override_the_cost_model():
-    program = datalog_rewritable_compiled()
-    caps = UnfoldCaps(max_disjuncts=8, max_atoms=4)
-    assert effective_unfold_caps(program, caps) == (8, 4)
-    plan = plan_program(program, PlanPolicy(unfold_caps=caps, semantic=False))
-    assert plan.tier == TIER_GROUND_SAT  # disjunctive either way

@@ -159,11 +159,30 @@ def seed_md203() -> DisjunctiveDatalogProgram:
     )
 
 
-def seed_md204() -> DisjunctiveDatalogProgram:
-    # Nonrecursive and disjunction-free, but one unfolded disjunct exceeds
-    # the planner's atom cap (MAX_DISJUNCT_ATOMS = 24).
-    body = tuple(Atom(RelationSymbol(f"A{i}", 1), (x,)) for i in range(25))
+def wide_goal(atoms: int) -> DisjunctiveDatalogProgram:
+    """One goal disjunct of ``atoms`` distinct unary EDB atoms."""
+    body = tuple(Atom(RelationSymbol(f"A{i}", 1), (x,)) for i in range(atoms))
     return DisjunctiveDatalogProgram([goal_rule(*body)])
+
+
+def seed_md204() -> DisjunctiveDatalogProgram:
+    # Nonrecursive and disjunction-free, but the one unfolded disjunct is
+    # past the cost model's hard atom ceiling (UNFOLD_ATOM_CEILING = 96).
+    return wide_goal(97)
+
+
+def branching_goal(predicates: int) -> DisjunctiveDatalogProgram:
+    """``predicates`` two-rule unary IDB predicates conjoined in the goal:
+    the unfolding has 2 ** predicates disjuncts."""
+    rules = []
+    goal_body = []
+    for i in range(predicates):
+        idb = RelationSymbol(f"P{i}", 1)
+        for branch in ("L", "R"):
+            edb = RelationSymbol(f"{branch}{i}", 1)
+            rules.append(Rule((Atom(idb, (x,)),), (Atom(edb, (x,)),)))
+        goal_body.append(Atom(idb, (x,)))
+    return DisjunctiveDatalogProgram(rules + [goal_rule(*goal_body)])
 
 
 SEEDERS = {
@@ -194,6 +213,30 @@ def test_mutation_triggers_code(code):
     assert code in report.codes, report.format_text()
     for diagnostic in report.by_code(code):
         assert diagnostic.severity == REGISTRY[code].severity
+
+
+#: The tier each MD2xx pin leaves the planner's syntactic plan on.
+PIN_TIERS = {"MD201": 2, "MD202": 2, "MD203": 1, "MD204": 1}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(SEEDERS[code] for code in sorted(SEEDERS)),
+        clean_program,
+        lambda: wide_goal(25),  # past the historical 24-atom cap: tier 0
+        lambda: branching_goal(9),  # 512 disjuncts, past 256: tier 0
+    ],
+    ids=[*sorted(SEEDERS), "clean", "wide-goal-25", "branching-goal-512"],
+)
+def test_tier_pins_match_the_syntactic_plan(make):
+    """MD2xx and the planner read one soundness record: the code the
+    analyzer reports names exactly the tier the planner serves."""
+    program = make()
+    plan = plan_program(program, PlanPolicy(semantic=False))
+    pins = [code for code in analyse(program).codes if code in PIN_TIERS]
+    assert len(pins) <= 1, pins
+    assert (PIN_TIERS[pins[0]] if pins else 0) == plan.tier, plan.rationale
 
 
 def test_clean_program_has_no_diagnostics():

@@ -23,6 +23,7 @@ from repro.obs.telemetry import Reservoir, enabled
 from repro.planner import (
     PlanCache,
     clear_plan_artifacts,
+    execute_plan,
     plan_program,
     program_identity_key,
 )
@@ -34,7 +35,6 @@ from repro.service import (
     FrontendWriteFailed,
     ObdaSession,
     ShardedObdaSession,
-    evaluate_plan_at,
     from_scratch_answers,
     replay_commit_log,
     validate_explain,
@@ -522,16 +522,16 @@ def test_sharded_session_snapshot_isolation():
     assert before == expected
 
 
-def test_evaluate_plan_at_is_stateless_per_tier():
+def test_execute_plan_is_stateless_per_tier():
     instance = Instance([fact for fact in _universe(4)])
     for maker in (_conj_program, _reach_program, _disjunctive_program):
         program = maker()
         plan = plan_program(program)
         expected = ground_program(program, instance).certain_answers()
-        assert evaluate_plan_at(plan, instance) == expected
+        assert execute_plan(plan, instance) == expected
         # evaluating an older instance later must not see newer facts
         smaller = Instance([])
-        assert evaluate_plan_at(plan, smaller) == ground_program(
+        assert execute_plan(plan, smaller) == ground_program(
             program, smaller
         ).certain_answers()
 
@@ -589,22 +589,22 @@ def test_plan_cache_lru_eviction_clears_artifacts():
     programs = [_conj_program(), _reach_program(), _disjunctive_program()]
     for program in programs:
         plan_program(program)
-        assert hasattr(program, "_planner_syntactic_plans")
+        assert hasattr(program, "_planner_syntactic_plan")
     cache = PlanCache(capacity=2)
     cache.intern(programs[0])
     cache.intern(programs[1])
     cache.intern(programs[0])  # touch: 0 becomes most recent
     cache.intern(programs[2])  # evicts 1, the least recently used
     assert cache.evictions == 1
-    assert not hasattr(programs[1], "_planner_syntactic_plans")
-    assert hasattr(programs[0], "_planner_syntactic_plans")
+    assert not hasattr(programs[1], "_planner_syntactic_plan")
+    assert hasattr(programs[0], "_planner_syntactic_plan")
     assert programs[0] in cache and programs[2] in cache
     assert programs[1] not in cache
     # eviction-then-recompile: same routing, same answers
     instance = Instance(_universe(4))
     replanned = plan_program(programs[1])
     assert replanned.tier == 1
-    assert evaluate_plan_at(replanned, instance) == ground_program(
+    assert execute_plan(replanned, instance) == ground_program(
         programs[1], instance
     ).certain_answers()
 
@@ -613,7 +613,7 @@ def test_clear_plan_artifacts_reports_cleared_names():
     program = _conj_program()
     plan_program(program)
     cleared = clear_plan_artifacts(program)
-    assert "_planner_syntactic_plans" in cleared
+    assert "_planner_syntactic_plan" in cleared
     assert clear_plan_artifacts(program) == ()  # idempotent
 
 
