@@ -738,25 +738,39 @@ class Instance:
 class MutableIndexedInstance:
     """A mutable interned fact store speaking the engine's row protocol.
 
-    Fixpoint loops (:meth:`repro.datalog.plain.DatalogProgram.least_fixpoint`
-    and the DRed maintenance of :mod:`repro.service.delta`) keep **one**
-    mutable columnar store across all semi-naive rounds: per-relation row
-    sets and lazily-built per-position buckets are updated in place by
-    :meth:`add_row`, and the batch join executor reads them live through
-    the same row protocol (``relation_rows`` / ``row_bucket`` /
-    ``column_stats``) it uses on frozen instances.  The store shares (and
-    extends, in place — interners are append-only) the seed instance's
-    interner, so rows interned here remain valid on every delta copy of
-    the seed.
+    :meth:`repro.datalog.plain.DatalogProgram.least_fixpoint` keeps **one**
+    mutable columnar store across all semi-naive rounds, and
+    :class:`repro.service.delta.IncrementalFixpoint` keeps one as the live
+    materialization for its whole life.  Per-relation row sets and
+    lazily-built per-position buckets are updated in place by
+    :meth:`add_row` and :meth:`remove_row`, and the batch join executor
+    reads them live through the same row protocol (``relation_rows`` /
+    ``row_bucket`` / ``column_stats``) it uses on frozen instances.  The
+    store shares (and extends, in place — interners are append-only) the
+    seed instance's interner, so rows interned here remain valid on every
+    delta copy of the seed.
+
+    Removal keeps every built bucket, the distinct counts and the domain
+    codes exact: the first removal counts each code's occurrences once,
+    and both mutators maintain the counts from then on.  Decoded
+    :meth:`tuples` views are cached per relation until it next changes.
 
     Callers must not mutate while a join over the store is being consumed
     (the fixpoint loops buffer a round's derivations and apply them between
-    rounds), and must not hold returned row sets across an ``add``.
-    :meth:`freeze` emits a regular immutable :class:`Instance` — donating
-    the built columns and buckets — once the loop saturates.
+    rounds), and must not hold returned row sets across a mutation.
+    :meth:`freeze` emits a regular immutable :class:`Instance` (a copy;
+    the store stays live).
     """
 
-    __slots__ = ("_interner", "_columns", "_domain_codes", "_size", "_declared_schema")
+    __slots__ = (
+        "_interner",
+        "_columns",
+        "_domain_codes",
+        "_code_counts",
+        "_decoded",
+        "_size",
+        "_declared_schema",
+    )
 
     def __init__(self, instance: Instance) -> None:
         self._interner = instance.interner
@@ -774,6 +788,9 @@ class MutableIndexedInstance:
         self._domain_codes: set[int] = {
             code_of(value) for value in instance.active_domain
         }
+        # code -> occurrences over all rows; built by the first removal
+        self._code_counts: dict[int, int] | None = None
+        self._decoded: dict[RelationSymbol, frozenset[tuple]] = {}
         self._declared_schema = instance.schema
 
     def __contains__(self, fact: object) -> bool:
@@ -794,9 +811,6 @@ class MutableIndexedInstance:
     def __len__(self) -> int:
         return self._size
 
-    def is_empty(self) -> bool:
-        return self._size == 0
-
     @property
     def interner(self) -> Interner:
         return self._interner
@@ -810,12 +824,6 @@ class MutableIndexedInstance:
     def domain_codes(self) -> set[int]:
         return self._domain_codes
 
-    def add(self, fact: Fact) -> bool:
-        """Add one fact (interned on the way in); True if it was new."""
-        return self.add_row(
-            fact.relation, self._interner.intern_row(fact.arguments)
-        )
-
     def add_row(self, relation: RelationSymbol, row: IntRow) -> bool:
         """Add one interned row, updating every built index; True if new."""
         column = self._columns.get(relation)
@@ -826,6 +834,39 @@ class MutableIndexedInstance:
             return False
         self._size += 1
         self._domain_codes.update(row)
+        counts = self._code_counts
+        if counts is not None:
+            for code in row:
+                counts[code] = counts.get(code, 0) + 1
+        if self._decoded:
+            self._decoded.pop(relation, None)
+        return True
+
+    def remove_row(self, relation: RelationSymbol, row: IntRow) -> bool:
+        """Remove one interned row, updating every built index; True if it
+        was present.  A code leaves the domain with its last occurrence."""
+        column = self._columns.get(relation)
+        if column is None or row not in column.rows:
+            return False
+        counts = self._code_counts
+        if counts is None:
+            counts = self._code_counts = {}
+            for other in self._columns.values():
+                for stored in other.rows:
+                    for code in stored:
+                        counts[code] = counts.get(code, 0) + 1
+        column.remove(row)
+        if not column.rows:
+            del self._columns[relation]
+        self._size -= 1
+        for code in row:
+            left = counts[code] - 1
+            if left:
+                counts[code] = left
+            else:
+                del counts[code]
+                self._domain_codes.discard(code)
+        self._decoded.pop(relation, None)
         return True
 
     def has_row(self, relation: RelationSymbol, row: IntRow) -> bool:
@@ -855,40 +896,25 @@ class MutableIndexedInstance:
             return 0, ()
         return len(column.rows), column.distinct_counts()
 
-    # -- decoded compatibility views -------------------------------------------
+    # -- decoded views ---------------------------------------------------------
 
     def tuples(self, relation: RelationSymbol) -> frozenset[tuple]:
-        """A decoded snapshot of the relation (compatibility only — engine
-        paths read :meth:`relation_rows` instead)."""
-        column = self._columns.get(relation)
-        if column is None:
-            return _EMPTY_ROWS
-        decode = self._interner.decode_row
-        return frozenset(decode(row) for row in column.rows)
-
-    def tuples_with(
-        self, relation: RelationSymbol, position: int, value: Constant
-    ) -> frozenset[tuple]:
-        """Decoded positional probe (compatibility only)."""
-        code = self._interner.code(value)
-        if code is None:
-            return _EMPTY_ROWS
-        column = self._columns.get(relation)
-        if column is None:
-            return _EMPTY_ROWS
-        decode = self._interner.decode_row
-        return frozenset(decode(row) for row in column.bucket(position, code))
-
-    def position_value_count(self, relation: RelationSymbol, position: int) -> int:
-        column = self._columns.get(relation)
-        if column is None:
-            return 0
-        return column.distinct_counts()[position]
+        """A decoded snapshot of the relation, cached until the relation
+        next changes (engine paths read :meth:`relation_rows` instead)."""
+        view = self._decoded.get(relation)
+        if view is None:
+            column = self._columns.get(relation)
+            if column is None:
+                return _EMPTY_ROWS
+            decode = self._interner.decode_row
+            view = self._decoded[relation] = frozenset(map(decode, column.rows))
+        return view
 
     # -- freezing --------------------------------------------------------------
 
     def freeze(self) -> Instance:
-        """One immutable :class:`Instance`, donating columns and buckets.
+        """One immutable :class:`Instance` copying the columns and built
+        buckets (the store stays live).
 
         The fact set decodes lazily on first use; the interner is the
         (shared) seed interner.

@@ -175,10 +175,11 @@ class ColumnarRelation:
 class MutableColumnarRelation:
     """The mutable counterpart used by in-place fixpoint stores.
 
-    Rows live in one plain set updated by :meth:`add`; the per-position
-    buckets are built lazily and then maintained incrementally, so distinct
-    counts and bucket probes stay O(1) across fixpoint rounds instead of
-    being rebuilt per round.
+    Rows live in one plain set updated by :meth:`add` and :meth:`remove`;
+    the per-position buckets are built lazily and then maintained
+    incrementally (a bucket emptied by a removal is dropped), so distinct
+    counts and bucket probes stay exact and O(1) across fixpoint rounds and
+    DRed epochs instead of being rebuilt.
     """
 
     __slots__ = ("arity", "rows", "_buckets")
@@ -202,6 +203,20 @@ class MutableColumnarRelation:
                     self._buckets[position][code] = {row}
                 else:
                     bucket.add(row)
+        return True
+
+    def remove(self, row: IntRow) -> bool:
+        if row not in self.rows:
+            return False
+        self.rows.remove(row)
+        if self._buckets is not None:
+            for position, code in enumerate(row):
+                index = self._buckets[position]
+                bucket = index[code]
+                if len(bucket) == 1:
+                    del index[code]
+                else:
+                    bucket.remove(row)
         return True
 
     def _force_buckets(self) -> tuple[dict[int, set], ...]:

@@ -256,7 +256,8 @@ class JoinPlan:
     identity-guarded memo (:meth:`resolve`).  A plan compiled once per
     program therefore serves every instance — delta copies, fixpoint
     stores, and entirely fresh interners alike; only the (cheap) constant
-    resolution re-runs when the interner changes.
+    resolution re-runs when the interner changes, or grows while some body
+    constant is still unknown to it.
     """
 
     __slots__ = ("atoms", "variables", "bound_variables", "steps", "_resolved")
@@ -274,11 +275,15 @@ class JoinPlan:
         Returns ``None`` when some body constant is unknown to the
         interner — that atom can match no row, so the whole join is empty.
         Memoized on interner identity; cross-epoch callers hit the memo
-        because delta copies share one append-only interner.
+        because delta copies share one append-only interner.  Codes never
+        change once assigned, so a resolution stays valid for good; an
+        unresolved one only until the interner grows, since a later insert
+        may bring the missing constant in.
         """
         memo = self._resolved
         if memo is not None and memo[0] is interner:
-            return memo[1]
+            if memo[1] is not None or memo[2] == len(interner):
+                return memo[1]
         code_of = interner.code
         resolved: list | None = []
         for step in self.steps:
@@ -295,7 +300,7 @@ class JoinPlan:
             if resolved is None:
                 break
             resolved.append((step, tuple(probes)))
-        self._resolved = (interner, resolved)
+        self._resolved = (interner, resolved, len(interner))
         return resolved
 
     def assignments(self, rows: Iterable[IntRow], interner) -> Iterator[Assignment]:

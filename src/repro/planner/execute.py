@@ -24,12 +24,16 @@ import itertools
 from typing import Iterator, Sequence
 
 from ..core.cq import Variable
-from ..core.instance import Instance
+from ..core.instance import Instance, MutableIndexedInstance
 from ..datalog.plain import DatalogProgram
 from ..engine.grounder import ground_program
-from ..engine.joins import compile_join, execute_join, join_exists
+from ..engine.joins import JoinPlan, compile_join, execute_join, join_exists
 from .analysis import UcqUnfolding, UnfoldedDisjunct
 from .plan import TIER_REWRITE, QueryPlan, plan_program
+
+#: A tier-1 minimal model: a fresh frozen fixpoint, or a session's live
+#: DRed-maintained store (both speak the row protocol).
+Model = Instance | MutableIndexedInstance
 
 
 def vacuous_answers(instance: Instance, arity: int) -> frozenset[tuple]:
@@ -231,10 +235,11 @@ def fixpoint_program(plan: QueryPlan) -> DatalogProgram:
 
 
 def fixpoint_goal_answers(
-    plan: QueryPlan, instance: Instance, fixpoint: Instance
+    plan: QueryPlan, instance: Instance, fixpoint: Model
 ) -> frozenset[tuple]:
     """Goal tuples of the materialized fixpoint over ``instance``'s active
-    domain: the certain answers of a consistent disjunction-free program."""
+    domain: the certain answers of a consistent disjunction-free program.
+    Both model kinds cache the decoded goal view until it changes."""
     adom = instance.active_domain
     return frozenset(
         row
@@ -244,8 +249,8 @@ def fixpoint_goal_answers(
 
 
 def _minimal_model(
-    plan: QueryPlan, instance: Instance, fixpoint: Instance | None
-) -> Instance | None:
+    plan: QueryPlan, instance: Instance, fixpoint: Model | None
+) -> Model | None:
     """The caller's maintained fixpoint, else a fresh one (none on tier 0)."""
     if fixpoint is not None or plan.tier == TIER_REWRITE:
         return fixpoint
@@ -253,7 +258,7 @@ def _minimal_model(
 
 
 def fixpoint_certain_answers(
-    plan: QueryPlan, instance: Instance, fixpoint: Instance | None = None
+    plan: QueryPlan, instance: Instance, fixpoint: Model | None = None
 ) -> frozenset[tuple]:
     """Tier-1 certain answers: least fixpoint + constraint check, no SAT."""
     fixpoint = _minimal_model(plan, instance, fixpoint)
@@ -267,8 +272,27 @@ def fixpoint_certain_answers(
 # ---------------------------------------------------------------------------
 
 
+# One join plan per constraint of the executed program, cached on the
+# (frozen) plan like the fixpoint program above: plans are
+# interner-independent, so the same plans serve a session's live store and
+# every fresh fixpoint the plan is executed on.
+_CONSTRAINT_PLANS_ATTR = "_planner_constraint_plans"
+
+
+def _constraint_plans(plan: QueryPlan, fixpoint: Model) -> list[JoinPlan]:
+    plans = getattr(plan, _CONSTRAINT_PLANS_ATTR, None)
+    if plans is None:
+        plans = [
+            compile_join(rule.body, fixpoint)
+            for rule in plan.execution_program.rules
+            if rule.is_constraint()
+        ]
+        object.__setattr__(plan, _CONSTRAINT_PLANS_ATTR, plans)
+    return plans
+
+
 def plan_consistent(
-    plan: QueryPlan, instance: Instance, fixpoint: Instance | None = None
+    plan: QueryPlan, instance: Instance, fixpoint: Model | None = None
 ) -> bool:
     """Does some model extend ``instance``?  (SAT-free tiers only.)
 
@@ -285,9 +309,8 @@ def plan_consistent(
         )
     fixpoint = _minimal_model(plan, instance, fixpoint)
     return not any(
-        join_exists(compile_join(rule.body, fixpoint), fixpoint)
-        for rule in plan.execution_program.rules
-        if rule.is_constraint()
+        join_exists(constraint, fixpoint)
+        for constraint in _constraint_plans(plan, fixpoint)
     )
 
 
@@ -295,7 +318,7 @@ def decide_candidates(
     plan: QueryPlan,
     instance: Instance,
     candidates: Sequence[tuple],
-    fixpoint: Instance | None = None,
+    fixpoint: Model | None = None,
 ) -> dict[tuple, bool]:
     """Per-candidate verdicts of a SAT-free plan, the no-model rule included."""
     fixpoint = _minimal_model(plan, instance, fixpoint)

@@ -915,11 +915,15 @@ def cross_validate(
     and tests can call this with their own plans (and budgets) to
     re-certify a routed rewriting at any scale.
     """
-    from ..datalog.evaluation import has_model_avoiding
-    from .execute import execute_plan, plan_consistent
-    from .plan import TIER_GROUND_SAT, plan_for_tier
+    from ..engine.grounder import ground_program
+    from .execute import (
+        execute_plan,
+        fixpoint_certain_answers,
+        fixpoint_program,
+        plan_consistent,
+    )
+    from .plan import TIER_FIXPOINT
 
-    reference_plan = plan_for_tier(program, TIER_GROUND_SAT)
     schema = program.edb_schema().union(
         [RelationSymbol("Foreign__probe", 1)]
     )
@@ -927,16 +931,24 @@ def cross_validate(
     for data in _validation_family(schema, budget):
         if deadline is not None and checked % 16 == 0:
             deadline.check("cross-validation")
-        expected = execute_plan(reference_plan, data)
-        got = execute_plan(candidate_plan, data)
+        # One grounding serves both reference surfaces, and on tier 1 one
+        # fixpoint serves both of the candidate's.
+        reference = ground_program(program, data)
+        expected = reference.certain_answers()
+        model = None
+        if candidate_plan.tier == TIER_FIXPOINT:
+            model = fixpoint_program(candidate_plan).least_fixpoint(data)
+            got = fixpoint_certain_answers(candidate_plan, data, model)
+        else:
+            got = execute_plan(candidate_plan, data)
         if got != expected:
             raise ValueError(
                 f"rewriting diverges from ground+CDCL on {data!r}: "
                 f"{sorted(got, key=repr)} != {sorted(expected, key=repr)}"
             )
         if candidate_plan.skips_sat:
-            consistent = plan_consistent(candidate_plan, data)
-            reference_consistent = has_model_avoiding(program, data, [])
+            consistent = plan_consistent(candidate_plan, data, model)
+            reference_consistent = reference.has_model_avoiding([])
             if consistent != reference_consistent:
                 raise ValueError(
                     "constructed consistency test diverges from the solver "

@@ -27,9 +27,11 @@ only its new join results, plus older ones whose rules' free variables meet
 a new domain element, are instantiated and pushed into the live solver.
 
 **DRed maintenance** (:class:`IncrementalFixpoint`), for disjunction-free
-programs: the materialized least fixpoint is maintained by semi-naive
+programs: the materialized least fixpoint lives in one mutable columnar
+store for its whole life and is maintained in place by semi-naive
 insertion and delete-and-rederive (over-delete everything whose derivation
-touched a deleted fact, then re-derive what survives from the remainder).
+touched a deleted fact, remove it, then re-derive what survives from the
+remainder).  Readers query that live store through the row protocol.
 """
 
 from __future__ import annotations
@@ -326,25 +328,31 @@ class DeltaGrounder:
 
 
 class IncrementalFixpoint:
-    """A materialized least fixpoint maintained under fact-level updates.
+    """A materialized least fixpoint maintained in place under fact-level updates.
 
-    Insertions run semi-naive rounds seeded by the delta; deletions use
-    DRed (delete-and-rederive): over-delete every fact whose derivation may
-    have used a deleted fact, then re-derive the survivors from what is
-    left.  ``adom`` facts are maintained directly from the EDB instance's
-    active domain, exactly as :meth:`DatalogProgram.least_fixpoint` seeds
-    them.
+    Set-up materializes through :meth:`DatalogProgram.least_fixpoint` and
+    keeps the result as one :class:`MutableIndexedInstance` (the *store*)
+    for the object's whole life; the EDB is a second one.  Insertions run
+    semi-naive rounds on the store; deletions use DRed (delete-and-rederive):
+    over-delete every row whose derivation may have used a deleted fact,
+    computed against the store before it changes, remove those rows in
+    place, re-derive the survivors from the remainder with one early-exit
+    probe each, and propagate them.  ``adom`` rows follow the EDB's active
+    domain, exactly as :meth:`DatalogProgram.least_fixpoint` seeds them.
+    An update costs work proportional to what it touches: no epoch copies,
+    freezes or decodes the store, or scans the active domain.
     """
 
     def __init__(
         self, program: DatalogProgram, instance: Instance | None = None
     ) -> None:
         self.program = program
-        self._edb = instance if instance is not None else Instance([])
-        self._fixpoint = program.least_fixpoint(self._edb)
+        edb = instance if instance is not None else Instance([])
+        self._store = MutableIndexedInstance(program.least_fixpoint(edb))
+        self._edb = MutableIndexedInstance(edb)
         # Re-derivation plans (whole rule body bound by the head variables),
         # lazily compiled per rule and reused across epochs: the session's
-        # delta copies and fixpoints all share one append-only interner, so
+        # delta copies and the stores all share one append-only interner, so
         # the identity guard only recompiles if a caller ever swaps in an
         # unrelated instance.  The semi-naive per-rule plans live on the
         # program itself (:meth:`DatalogProgram.compiled_rules`).
@@ -371,45 +379,58 @@ class IncrementalFixpoint:
 
     @property
     def edb(self) -> Instance:
-        return self._edb
+        """The current EDB, frozen on demand."""
+        return self._edb.freeze()
+
+    @property
+    def store(self) -> MutableIndexedInstance:
+        """The live materialization: read it through the row protocol (or
+        its cached ``tuples`` views) between updates, never across one."""
+        return self._store
 
     @property
     def fixpoint(self) -> Instance:
-        return self._fixpoint
+        """The materialization, frozen on demand (for callers that compare it)."""
+        return self._store.freeze()
 
     # -- updates ---------------------------------------------------------------
 
     def insert(self, facts: Iterable[Fact]) -> None:
-        added = [f for f in facts if f not in self._edb.facts]
+        edb = self._edb
+        intern_row = edb.interner.intern_row
+        domain = edb.domain_codes
+        added: list[tuple[RelationSymbol, IntRow]] = []
+        new_codes: set[int] = set()
+        for fact in facts:
+            row = intern_row(fact.arguments)
+            if edb.has_row(fact.relation, row):
+                continue
+            new_codes.update(code for code in row if code not in domain)
+            edb.add_row(fact.relation, row)
+            added.append((fact.relation, row))
         if not added:
             return
         with _telemetry.maybe_span("dred.insert", facts=len(added)):
-            new_edb = self._edb.with_facts(added)
-            new_elements = new_edb.active_domain - self._edb.active_domain
-            self._edb = new_edb
-            delta = list(added) + [
-                Fact(_ADOM_SYMBOL, (element,)) for element in new_elements
-            ]
-            self._propagate(delta)
+            added.extend((_ADOM_SYMBOL, (code,)) for code in new_codes)
+            self._propagate(added)
 
     def delete(self, facts: Iterable[Fact]) -> None:
-        removed = [f for f in facts if f in self._edb.facts]
+        edb, store = self._edb, self._store
+        intern_row = edb.interner.intern_row
+        removed: list[tuple[RelationSymbol, IntRow]] = []
+        for fact in facts:
+            if fact in edb:
+                row = intern_row(fact.arguments)
+                edb.remove_row(fact.relation, row)
+                removed.append((fact.relation, row))
         if not removed:
             return
-        new_edb = self._edb.without_facts(removed)
-        dropped = self._edb.active_domain - new_edb.active_domain
-        self._edb = new_edb
+        edb_domain = edb.domain_codes
         # Over-deletion: anything derivable through a deleted fact, computed
-        # against the pre-deletion fixpoint (the standard over-approximation).
-        # The whole pass runs on interned rows: the old fixpoint, the new
-        # EDB and the compiled plans share the session interner, so the
-        # frontier is a dict of row batches and membership checks hash ints.
-        old_fixpoint = self._fixpoint
-        interner = old_fixpoint.interner
-        compiled = self.program.compiled_rules(old_fixpoint)
-        protected_adom = {
-            interner.code(element) for element in new_edb.active_domain
-        }
+        # against the store before any row leaves it (the standard
+        # over-approximation).  The frontier is a dict of row batches, and
+        # every membership check hashes ints.
+        compiled = self.program.compiled_rules(store)
         overdeleted: dict[RelationSymbol, set[IntRow]] = {}
         frontier: dict[RelationSymbol, list[IntRow]] = {}
 
@@ -417,84 +438,75 @@ class IncrementalFixpoint:
             overdeleted.setdefault(relation, set()).add(row)
             frontier.setdefault(relation, []).append(row)
 
-        for fact in removed:
-            seed(fact.relation, interner.intern_row(fact.arguments))
-        for element in dropped:
-            seed(_ADOM_SYMBOL, (interner.code(element),))
+        for relation, row in removed:
+            seed(relation, row)
+        for code in {code for _, row in removed for code in row} - edb_domain:
+            seed(_ADOM_SYMBOL, (code,))
         while frontier:
             wave: dict[RelationSymbol, list[IntRow]] = {}
             for crule in compiled:
                 head_relation = crule.rule.head[0].relation
-                live = old_fixpoint.relation_rows(head_relation)
+                live = store.relation_rows(head_relation)
                 gone = overdeleted.setdefault(head_relation, set())
                 protected = (
-                    new_edb.relation_rows(head_relation)
+                    edb.relation_rows(head_relation)
                     if head_relation != _ADOM_SYMBOL
                     else None
                 )
-                for build_head, rows in crule.delta_result_rows(
-                    old_fixpoint, frontier
-                ):
+                for build_head, rows in crule.delta_result_rows(store, frontier):
                     for row in rows:
                         head_row = build_head(row)
                         if head_row in gone or head_row not in live:
                             continue
                         if protected is None:
-                            if head_row[0] in protected_adom:
+                            if head_row[0] in edb_domain:
                                 continue
                         elif head_row in protected:
                             continue
                         gone.add(head_row)
                         wave.setdefault(head_relation, []).append(head_row)
             frontier = wave
-        overdeleted_facts = [
-            Fact(relation, interner.decode_row(row))
-            for relation, rows in overdeleted.items()
-            for row in rows
-        ]
-        remaining = self._fixpoint.without_facts(overdeleted_facts)
-        self._fixpoint = remaining
-        # Re-derivation: an over-deleted fact with an alternative derivation
+        for relation, rows in overdeleted.items():
+            for row in rows:
+                store.remove_row(relation, row)
+        # Re-derivation: an over-deleted row with an alternative derivation
         # from the remainder comes back (and propagates semi-naively).  The
         # removed facts themselves are candidates too — a deleted fact over
         # an IDB relation stays derived exactly when some rule still derives
         # it, matching a from-scratch recomputation.  Each candidate is one
         # early-exit existence probe of the rule body seeded by its head row.
-        rederived = []
-        for fact in sorted(overdeleted_facts, key=str):
-            row = interner.intern_row(fact.arguments)
-            for rule_index, rule in enumerate(self.program.rules):
-                head = rule.head[0]
-                if head.relation != fact.relation:
-                    continue
-                plan, match_head = self._rederive(rule_index, remaining)
-                seed_row = match_head(row)
-                if seed_row is None:
-                    continue
-                if join_exists(plan, remaining, seed_row):
-                    rederived.append(fact)
-                    break
+        rederived: list[tuple[RelationSymbol, IntRow]] = []
+        for relation, rows in overdeleted.items():
+            if not rows:
+                continue
+            probes = [
+                self._rederive(index, store)
+                for index, rule in enumerate(self.program.rules)
+                if rule.head[0].relation == relation
+            ]
+            for row in rows:
+                for plan, match_head in probes:
+                    seed_row = match_head(row)
+                    if seed_row is not None and join_exists(plan, store, seed_row):
+                        rederived.append((relation, row))
+                        break
         tel = _telemetry.ACTIVE
         if tel is not None:
             tel.count("dred.deletes")
-            tel.count("dred.overdeleted", len(overdeleted_facts))
+            tel.count("dred.overdeleted", sum(map(len, overdeleted.values())))
             tel.count("dred.rederived", len(rederived))
         if rederived:
             self._propagate(rederived)
 
     # -- semi-naive propagation ------------------------------------------------
 
-    def _propagate(self, delta_facts: list[Fact]) -> None:
-        # One mutable columnar store across all semi-naive rounds (the
-        # rounds DatalogProgram.least_fixpoint runs), frozen once at
-        # saturation.
-        current = MutableIndexedInstance(self._fixpoint)
-        interner = current.interner
+    def _propagate(self, rows: list[tuple[RelationSymbol, IntRow]]) -> None:
+        """Add ``rows`` to the store and run semi-naive rounds to saturation
+        there (the rounds :meth:`DatalogProgram.least_fixpoint` runs)."""
+        store = self._store
         delta: dict[RelationSymbol, list[IntRow]] = {}
-        for fact in delta_facts:
-            row = interner.intern_row(fact.arguments)
-            if current.add_row(fact.relation, row):
-                delta.setdefault(fact.relation, []).append(row)
-        for _ in semi_naive_rounds(self.program.compiled_rules(current), current, delta):
+        for relation, row in rows:
+            if store.add_row(relation, row):
+                delta.setdefault(relation, []).append(row)
+        for _ in semi_naive_rounds(self.program.compiled_rules(store), store, delta):
             pass
-        self._fixpoint = current.freeze()

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from ..analysis import vet_program
-from ..core.instance import Fact, Instance
+from ..core.instance import Fact, Instance, MutableIndexedInstance
 from ..datalog.ddlog import DisjunctiveDatalogProgram
 from ..engine.grounder import certain_goal_atoms
 from ..engine.sat import ClauseSolver
@@ -175,7 +175,7 @@ class _SatFreeState(_State):
     ``model`` is the tier-1 materialization it reads (none on tier 0).
     """
 
-    model: Instance | None = None
+    model: MutableIndexedInstance | None = None
 
     def is_consistent(self, instance: Instance) -> bool:
         return plan_consistent(self.plan, instance, self.model)
@@ -212,10 +212,10 @@ class _UcqState(_SatFreeState):
 class _FixpointState(_SatFreeState):
     """Tier 1: materialized incremental fixpoint for a disjunction-free query.
 
-    The planner's executor answers from the maintained minimal model:
-    constraints are checked against it at query time, and a firing one
-    makes every tuple over the active domain vacuously certain (the same
-    convention as the SAT tier).
+    The planner's executor answers from the live maintained store through
+    the row protocol: constraints are checked against it at query time, and
+    a firing one makes every tuple over the active domain vacuously certain
+    (the same convention as the SAT tier).
     """
 
     def __init__(self, plan: QueryPlan, instance: Instance | None = None) -> None:
@@ -223,8 +223,8 @@ class _FixpointState(_SatFreeState):
         self.fixpoint = IncrementalFixpoint(fixpoint_program(plan), instance=instance)
 
     @property
-    def model(self) -> Instance:
-        return self.fixpoint.fixpoint
+    def model(self) -> MutableIndexedInstance:
+        return self.fixpoint.store
 
     def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
         self.fixpoint.insert(delta)

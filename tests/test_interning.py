@@ -12,8 +12,10 @@ stores and the translation arrays behind instance union and shard merge.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Fact, Instance, RelationSymbol
+from repro.core.instance import MutableIndexedInstance
 from repro.core.interning import (
     ColumnarRelation,
     Interner,
@@ -154,3 +156,86 @@ def test_columnar_buckets_match_linear_scans(seed):
     assert frozen.without_rows([(9, 9)]) is frozen
     grown = frozen.with_rows([(9, 9)])
     assert (9, 9) in grown.rows and (9, 9) not in frozen.rows
+
+
+_S = RelationSymbol("S", 3)
+_RELATIONS = (A, R, _S)
+_POOL = ("c0", "c1", "c2", "c3", "c4")
+
+
+def _fact_strategy():
+    return st.sampled_from(_RELATIONS).flatmap(
+        lambda relation: st.tuples(
+            st.just(relation),
+            st.tuples(*[st.sampled_from(_POOL)] * relation.arity),
+        )
+    ).map(lambda pair: Fact(*pair))
+
+
+def _assert_matches_rebuilt(store: MutableIndexedInstance, live: set, universe: set) -> None:
+    """Every observable of the in-place store equals a store rebuilt from
+    the surviving facts: each built bucket (no stale or empty ones),
+    ``distinct_counts``, ``column_stats``, ``len``, membership, decoded
+    views and the active domain."""
+    rebuilt = Instance(live)
+    interner = store.interner
+    assert len(store) == len(live)
+    assert store.active_domain == set(rebuilt.active_domain)
+    for relation in _RELATIONS:
+        assert store.column_stats(relation) == rebuilt.column_stats(relation)
+        assert store.tuples(relation) == rebuilt.tuples(relation)
+        column = store._columns.get(relation)
+        if column is None or column._buckets is None:
+            continue
+        assert column.distinct_counts() == rebuilt.column(relation).distinct_counts()
+        for position, index in enumerate(column._buckets):
+            assert {interner.value(code) for code in index} == rebuilt.position_values(
+                relation, position
+            )
+            for code, bucket in index.items():
+                decoded = frozenset(map(interner.decode_row, bucket))
+                assert decoded == rebuilt.tuples_with(relation, position, interner.value(code))
+    for fact in universe:
+        assert (fact in store) == (fact in live)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    initial=st.lists(_fact_strategy(), max_size=8),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "force", "view"]),
+            _fact_strategy(),
+            st.integers(min_value=0, max_value=63),
+        ),
+        max_size=30,
+    ),
+)
+def test_in_place_removal_matches_a_rebuilt_store(initial, steps):
+    """Random row adds and removals over three relations, with buckets
+    forced and decoded views cached at random points, leave the mutable
+    store equal to one rebuilt from the surviving rows after every step,
+    and ``freeze()`` equal to the instance of those facts."""
+    live = set(initial)
+    universe = live | {fact for _, fact, _ in steps}
+    store = MutableIndexedInstance(Instance(initial))
+    for kind, fact, pick in steps:
+        if kind == "force":
+            store.row_bucket(fact.relation, 0, store.interner.intern(fact.arguments[0]))
+        elif kind == "view":
+            store.tuples(fact.relation)
+        else:
+            if kind == "remove" and live and pick % 4:
+                # mostly remove a live fact, so most removals change the store
+                fact = sorted(live, key=str)[pick % len(live)]
+            row = store.interner.intern_row(fact.arguments)
+            if kind == "add":
+                assert store.add_row(fact.relation, row) == (fact not in live)
+                live.add(fact)
+            else:
+                assert store.remove_row(fact.relation, row) == (fact in live)
+                live.discard(fact)
+        _assert_matches_rebuilt(store, live, universe)
+    frozen = store.freeze()
+    assert frozen == Instance(live)
+    assert frozen.active_domain == Instance(live).active_domain

@@ -33,6 +33,7 @@ from repro.planner import (
     PlanPolicy,
     analyse_program,
     estimate_cost,
+    execute_plan,
     plan_for_tier,
     plan_program,
     unfold_to_ucq,
@@ -476,6 +477,109 @@ def test_session_states_match_plan_tiers():
     assert queries["fixpoint"]["tier"] == TIER_FIXPOINT
     assert queries["sat"]["tier"] == TIER_GROUND_SAT
     assert session.plan("ucq").tier_name == "ucq-rewrite"
+
+
+def test_tier1_constraint_plans_compile_once(monkeypatch):
+    """A tier-1 query checks its constraint through one cached plan: 100
+    session reads, then a stateless execution on a frozen fixpoint, compile
+    it once."""
+    from repro.planner import execute
+
+    reach = RelationSymbol("reach", 1)
+    start, bad = RelationSymbol("start", 1), RelationSymbol("bad", 1)
+    program = DisjunctiveDatalogProgram(
+        [
+            Rule((Atom(reach, (X,)),), (Atom(start, (X,)),)),
+            Rule((Atom(reach, (Y,)),), (Atom(reach, (X,)), Atom(EDGE, (X, Y)))),
+            Rule((goal_atom(X),), (Atom(reach, (X,)),)),
+            Rule((), (Atom(reach, (X,)), Atom(bad, (X,)))),
+        ]
+    )
+    chain = [Fact(EDGE, (i, i + 1)) for i in range(200)] + [Fact(start, (0,))]
+    session = ObdaSession(program, chain)
+    assert isinstance(session._state(None), _FixpointState)
+    compiled = []
+    original = execute.compile_join
+
+    def counting_compile(*args, **kwargs):
+        compiled.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(execute, "compile_join", counting_compile)
+    answers = {session.certain_answers() for _ in range(100)}
+    assert answers == {frozenset((i,) for i in range(201))}
+    assert execute.execute_plan(session.plan(), session.instance) == answers.pop()
+    assert len(compiled) == 1
+
+
+def _late_constant_cases():
+    """Programs whose body constant the first read's data lacks, each with
+    the fact that first brings it in: a tier-1 constraint, a tier-1
+    recursive rule and a tier-0 disjunct."""
+    reach = RelationSymbol("reach", 1)
+    start = RelationSymbol("start", 1)
+    base = [
+        Rule((Atom(reach, (X,)),), (Atom(start, (X,)),)),
+        Rule((Atom(reach, (Y,)),), (Atom(reach, (X,)), Atom(EDGE, (X, Y)))),
+    ]
+    chain = [Fact(EDGE, (i, i + 1)) for i in range(5)] + [Fact(start, (0,))]
+    constraint = DisjunctiveDatalogProgram(
+        base
+        + [
+            Rule((goal_atom(X),), (Atom(start, (X,)),)),
+            Rule((), (Atom(reach, ("sink",)),)),
+        ]
+    )
+    gated = DisjunctiveDatalogProgram(
+        [
+            base[0],
+            Rule(
+                (Atom(reach, (Y,)),),
+                (Atom(reach, (X,)), Atom(EDGE, (X, Y)), Atom(A, ("on",))),
+            ),
+            Rule((goal_atom(X),), (Atom(reach, (X,)),)),
+        ]
+    )
+    disjunct = DisjunctiveDatalogProgram(
+        [Rule((goal_atom(X),), (Atom(A, (X,)), Atom(EDGE, (X, "d"))))]
+    )
+    return [
+        pytest.param(
+            constraint, _FixpointState, chain, Fact(EDGE, (5, "sink")), id="constraint"
+        ),
+        pytest.param(gated, _FixpointState, chain, Fact(A, ("on",)), id="recursive-rule"),
+        pytest.param(
+            disjunct, _UcqState, [Fact(A, (1,))], Fact(EDGE, (1, "d")), id="disjunct"
+        ),
+    ]
+
+
+@pytest.mark.parametrize("program, state_type, facts, late", _late_constant_cases())
+def test_cached_plans_see_a_constant_that_arrives_late(program, state_type, facts, late):
+    """A body constant unknown to the interner at the first read takes
+    effect once an insert brings it in, although the join plans reading it
+    are cached: the session, a snapshot and ``execute_plan`` agree with a
+    fresh grounding before the insert, after it and after the delete."""
+    from repro.engine import ground_program
+
+    facts = list(facts)
+    session = ObdaSession(program, facts, policy=PlanPolicy(check="off"))
+    assert isinstance(session._state(None), state_type)
+
+    def check():
+        expected = ground_program(program, Instance(facts)).certain_answers()
+        assert session.certain_answers() == expected
+        assert session.snapshot().certain_answers() == expected
+        assert execute_plan(session.plan(), session.instance) == expected
+        return expected
+
+    before = check()
+    session.insert_facts([late])
+    facts.append(late)
+    assert check() != before
+    session.delete_facts([late])
+    facts.remove(late)
+    assert check() == before
 
 
 def test_session_force_tier_overrides_routing():

@@ -178,6 +178,40 @@ def test_cross_validate_is_a_public_hook():
     assert cross_validate(program, plan) > 0
 
 
+@pytest.mark.parametrize(
+    "omq, tier", [(fo_rewritable_omq, TIER_REWRITE), (datalog_rewritable_omq, TIER_FIXPOINT)]
+)
+def test_cross_validate_grounds_and_materializes_once_per_instance(monkeypatch, omq, tier):
+    """One grounding serves the reference answers and consistency verdict
+    of a validation instance, and one fixpoint both surfaces of a tier-1
+    candidate."""
+    from repro.datalog.plain import DatalogProgram
+    from repro.engine.grounder import GroundProgram
+
+    program = compile_to_mddlog(omq())
+    plan = plan_program(program)
+    assert plan.tier == tier
+    calls = {"groundings": 0, "fixpoints": 0}
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(GroundProgram, "__init__", counting("groundings", GroundProgram.__init__))
+    monkeypatch.setattr(
+        DatalogProgram, "least_fixpoint", counting("fixpoints", DatalogProgram.least_fixpoint)
+    )
+    checked = cross_validate(program, plan)
+    assert checked > 0
+    assert calls == {
+        "groundings": checked,
+        "fixpoints": checked if tier == TIER_FIXPOINT else 0,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Budgets and degradation
 # ---------------------------------------------------------------------------

@@ -198,6 +198,119 @@ def test_incremental_fixpoint_matches_least_fixpoint(seed):
         assert incremental.fixpoint == program.least_fixpoint(Instance(live))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_incremental_fixpoint_keeps_edb_facts_over_idb_relations(seed):
+    """EDB facts over derived relations survive DRed over-deletion: a
+    derived row that is also a live EDB fact is never over-deleted, and a
+    deleted one stays exactly when some rule still derives it."""
+    rng = random.Random(350 + seed)
+    program = DatalogProgram(
+        [
+            Rule((Atom(P, (X,)),), (Atom(A, (X,)),)),
+            Rule((Atom(P, (Y,)),), (Atom(P, (X,)), Atom(EDGE, (X, Y)))),
+            Rule((Atom(Q, (X,)),), (Atom(P, (X,)), Atom(B, (X,)))),
+            Rule((goal_atom(X),), (Atom(Q, (X,)),)),
+        ]
+    )
+    incremental = IncrementalFixpoint(program)
+    domain = [1, 2, 3, 4]
+    universe = _fact_universe(domain) + [Fact(rel, (e,)) for rel in (P, Q) for e in domain]
+    live = set()
+    for _ in range(30):
+        free = [f for f in universe if f not in live]
+        if free and (not live or rng.random() < 0.55):
+            batch = rng.sample(free, min(len(free), rng.randint(1, 4)))
+            live.update(batch)
+            incremental.insert(batch)
+        else:
+            batch = rng.sample(sorted(live, key=str), min(len(live), rng.randint(1, 3)))
+            live.difference_update(batch)
+            incremental.delete(batch)
+        assert incremental.fixpoint == program.least_fixpoint(Instance(live))
+
+
+HAS_PARENT = RelationSymbol("HasParent", 2)
+PREDISPOSITION = RelationSymbol("HereditaryPredisposition", 1)
+
+
+def _ancestry_forest(rng, trees=4, generations=6, width=4):
+    """Family trees in which everyone below the top generation has two
+    parents in the generation above (so DRed deletions re-derive), and half
+    of the top generation carries the predisposition."""
+    facts = []
+    for tree in range(trees):
+        people = [
+            [f"p{tree}_{generation}_{slot}" for slot in range(width)]
+            for generation in range(generations)
+        ]
+        for generation in range(generations - 1):
+            for person in people[generation]:
+                for parent in rng.sample(people[generation + 1], 2):
+                    facts.append(Fact(HAS_PARENT, (person, parent)))
+        facts.extend(Fact(PREDISPOSITION, (a,)) for a in people[-1] if rng.random() < 0.5)
+    return facts
+
+
+def test_tier1_updates_maintain_the_materialization_in_place(monkeypatch):
+    """Once set up, a tier-1 session's epochs neither copy nor freeze nor
+    decode the materialization, and a read decodes the goal rows once per
+    epoch, while answers stay equal to a stateless recomputation."""
+    from repro.core.instance import MutableIndexedInstance
+    from repro.core.interning import Interner
+    from repro.planner import execute_plan
+
+    derived = RelationSymbol("P__derived", 1)
+    program = DisjunctiveDatalogProgram(
+        [
+            Rule((Atom(derived, (X,)),), (Atom(PREDISPOSITION, (X,)),)),
+            Rule((Atom(derived, (X,)),), (Atom(HAS_PARENT, (X, Y)), Atom(derived, (Y,)))),
+            Rule((goal_atom(X),), (Atom(derived, (X,)),)),
+        ]
+    )
+    rng = random.Random(19)
+    forest = _ancestry_forest(rng)
+    session = ObdaSession(program, forest)
+    assert isinstance(session._state(None), _FixpointState)
+    calls = {"stores": 0, "freezes": 0, "decodes": 0}
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        MutableIndexedInstance, "__init__", counting("stores", MutableIndexedInstance.__init__)
+    )
+    monkeypatch.setattr(
+        MutableIndexedInstance, "freeze", counting("freezes", MutableIndexedInstance.freeze)
+    )
+    monkeypatch.setattr(Interner, "decode_row", counting("decodes", Interner.decode_row))
+    during_updates = dict.fromkeys(calls, 0)
+    edges = [fact for fact in forest if fact.relation == HAS_PARENT]
+    for step in range(40):
+        before = dict(calls)
+        if step % 2 == 0:
+            edge = rng.choice(edges)
+            session.delete_facts([edge])
+        else:
+            session.insert_facts([edge])
+        for name, count in calls.items():
+            during_updates[name] += count - before[name]
+        assert session.certain_answers() == execute_plan(session.plan(), session.instance)
+    assert during_updates == {"stores": 0, "freezes": 0, "decodes": 0}
+
+    # A newborn child of a predisposed ancestor changes the goal relation.
+    ancestor = next(fact for fact in forest if fact.relation == PREDISPOSITION).arguments[0]
+    session.insert_facts([Fact(HAS_PARENT, ("newborn", ancestor))])
+    before = calls["decodes"]
+    answers = {session.certain_answers() for _ in range(100)}
+    goal_rows = session._state(None).fixpoint.store.relation_rows(program.goal_relation)
+    assert calls["decodes"] - before == len(goal_rows) > 0
+    assert answers == {execute_plan(session.plan(), session.instance)}
+
+
 def _random_shardable_program(rng, goal_arity):
     """Random programs restricted to the shardable fragment (connected
     rule bodies, no constants, no nullary IDBs besides goal)."""
