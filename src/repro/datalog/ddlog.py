@@ -41,6 +41,8 @@ class Rule:
     def __post_init__(self) -> None:
         if not self.body:
             raise ValueError("rule bodies must be non-empty")
+        if not self.head:
+            return  # a constraint has no head variable that could be unsafe
         body_vars = {v for atom in self.body for v in atom.variables}
         for atom in self.head:
             for variable in atom.variables:

@@ -18,7 +18,7 @@ uses them for negative results — and are served by the bounded-model search in
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from ..core.homomorphism import HomomorphismSearch
 from ..core.instance import Fact, Instance
@@ -75,6 +75,54 @@ def _bitset(ids: Iterable[int], size: int) -> int:
     return int(digits, 2)
 
 
+def _truth_masks(decisions: Sequence[Concept]) -> Callable[[Concept], int]:
+    """Truth of concepts at all ``2^n`` assignments to ``decisions`` at once.
+
+    A concept's truth is one int mask whose bit ``a`` is its value at
+    assignment ``a``, the ``a``-th of ``itertools.product((False, True),
+    repeat=n)``: decision ``k`` is true at ``a`` when bit ``n-1-k`` of ``a``
+    is set.  A concept name or ∃-restriction that is no decision is false
+    everywhere; ¬, ⊓, ⊔ are complement, ``&``, ``|``; and ∀R.C is the
+    complement of its dual ∃R.¬C.
+    """
+    n = len(decisions)
+    size = 1 << n
+    everything = (1 << size) - 1
+    masks: dict[Concept, int] = {}
+    for k, decision in enumerate(decisions):
+        run = 1 << (n - 1 - k)  # consecutive assignments agreeing on decision k
+        mask = ((1 << run) - 1) << run
+        period = 2 * run
+        while period < size:
+            mask |= mask << period
+            period *= 2
+        masks[decision] = mask
+
+    def truth(concept: Concept) -> int:
+        mask = masks.get(concept)
+        if mask is not None:
+            return mask
+        if isinstance(concept, Top):
+            mask = everything
+        elif isinstance(concept, (Bottom, ConceptName, Exists)):
+            mask = 0
+        elif isinstance(concept, Not):
+            mask = everything & ~truth(concept.operand)
+        elif isinstance(concept, And):
+            mask = truth(concept.left) & truth(concept.right)
+        elif isinstance(concept, Or):
+            mask = truth(concept.left) | truth(concept.right)
+        elif isinstance(concept, Forall):
+            dual = Exists(concept.role, concept.filler.negate())
+            mask = everything & ~truth(dual)
+        else:
+            raise TypeError(f"unknown concept constructor: {concept!r}")
+        masks[concept] = mask
+        return mask
+
+    return truth
+
+
 def negation_closure(concepts: Iterable[Concept]) -> frozenset[Concept]:
     """Close a set of NNF concepts under subconcepts and NNF negation."""
     result: set[Concept] = set()
@@ -100,10 +148,12 @@ class TypeSystem:
     their existential duals, which keeps types semantically coherent by
     construction (``∀R.C`` is true exactly when ``∃R.¬C`` is false).
 
-    :meth:`all_types` is enumerated once; a type's position in it is its dense
-    id (:meth:`type_id`).  Edge compatibility is kept as one int bitset row
-    per source type and role (:meth:`compatibility_rows`), built on first use
-    from the closure's ∀/∃ constraints, so :meth:`compatible` is one bit read.
+    :meth:`all_types` is enumerated once, by evaluating each closure concept
+    once as a truth mask over all decision assignments; a type's position in
+    it is its dense id (:meth:`type_id`).  Edge compatibility is kept as one
+    int bitset row per source type and role (:meth:`compatibility_rows`),
+    built on first use from the closure's ∀/∃ constraints, so
+    :meth:`compatible` is one bit read.
     """
 
     def __init__(self, ontology: Ontology, extra_concepts: Iterable[Concept] = ()):
@@ -137,46 +187,10 @@ class TypeSystem:
         self._members: dict[Concept, int] = {}
         self._rows: dict[Role, list[int]] = {}
 
-    # -- truth derivation ------------------------------------------------------------
-
-    def _truth(self, concept: Concept, true_decisions: frozenset[Concept]) -> bool:
-        if isinstance(concept, Top):
-            return True
-        if isinstance(concept, Bottom):
-            return False
-        if isinstance(concept, ConceptName):
-            return concept in true_decisions
-        if isinstance(concept, Not):
-            return not self._truth(concept.operand, true_decisions)
-        if isinstance(concept, And):
-            return self._truth(concept.left, true_decisions) and self._truth(
-                concept.right, true_decisions
-            )
-        if isinstance(concept, Or):
-            return self._truth(concept.left, true_decisions) or self._truth(
-                concept.right, true_decisions
-            )
-        if isinstance(concept, Exists):
-            return concept in true_decisions
-        if isinstance(concept, Forall):
-            dual = Exists(concept.role, concept.filler.negate())
-            return not self._truth(dual, true_decisions)
-        raise TypeError(f"unknown concept constructor: {concept!r}")
-
-    def type_from_decisions(self, true_decisions: frozenset[Concept]) -> Type | None:
-        """Build a type from a decision assignment; None if it violates an axiom."""
-        members = frozenset(
-            c for c in self.closure if self._truth(c, true_decisions)
-        )
-        for lhs, rhs in self._axioms:
-            if self._truth(lhs, true_decisions) and not self._truth(
-                rhs, true_decisions
-            ):
-                return None
-        return members
-
     def all_types(self) -> list[Type]:
-        """All locally consistent types (axioms respected), in id order."""
+        """All locally consistent types (axioms respected), in id order: one
+        per decision assignment, in :func:`_truth_masks` order, at which
+        every axiom holds."""
         if self._types is None:
             decisions = list(self.concept_name_decisions) + list(
                 self.existential_decisions
@@ -186,14 +200,17 @@ class TypeSystem:
                     f"closure too large for exhaustive type enumeration "
                     f"({len(decisions)} decision concepts)"
                 )
-            types: list[Type] = []
-            for bits in itertools.product((False, True), repeat=len(decisions)):
-                true_decisions = frozenset(
-                    d for d, bit in zip(decisions, bits) if bit
-                )
-                candidate = self.type_from_decisions(true_decisions)
-                if candidate is not None:
-                    types.append(candidate)
+            truth = _truth_masks(decisions)
+            violated = 0
+            for lhs, rhs in self._axioms:
+                violated |= truth(lhs) & ~truth(rhs)
+            kept = truth(Top()) & ~violated
+            columns = [(c, truth(c)) for c in self.closure]
+            types: list[Type] = [
+                frozenset(c for c, mask in columns if mask >> a & 1)
+                for a in range(1 << len(decisions))
+                if kept >> a & 1
+            ]
             self._types = types
             self._ids = {t: i for i, t in enumerate(types)}
             holders: dict[Concept, list[int]] = {}

@@ -351,7 +351,13 @@ def enumerate_splits(disjunct: ConjunctiveQuery) -> list[QuerySplit]:
 
 
 class ForestAbstraction:
-    """Per-type antichains of minimal achievable requirement sets."""
+    """Per-type antichains of minimal achievable requirement sets.
+
+    The greatest fixpoint (:meth:`achievable_requirement_sets`) re-reads every
+    witness every round; what a witness contributes to its parent is a pure
+    function of the edge's role names, the witness type and its requirement
+    set, so each contribution is computed once per abstraction.
+    """
 
     def __init__(self, ontology: Ontology, ucq: UnionOfConjunctiveQueries):
         if ontology.uses_universal_role():
@@ -369,6 +375,7 @@ class ForestAbstraction:
         }
         self.requirements = self._requirement_universe()
         self._achievable: dict[frozenset, list[frozenset]] | None = None
+        self._contributions: dict[tuple, frozenset] = {}
 
     # -- requirement universe -----------------------------------------------------
 
@@ -420,6 +427,10 @@ class ForestAbstraction:
     ) -> frozenset:
         """Requirements that attaching this child by an edge carrying the role
         names ``supers`` makes true at the parent."""
+        key = (supers, child_type, child_reqs)
+        cached = self._contributions.get(key)
+        if cached is not None:
+            return cached
         result = set()
         for requirement in self.requirements:
             if isinstance(requirement, BelowRequirement):
@@ -430,7 +441,8 @@ class ForestAbstraction:
             else:  # AnywhereRequirement propagates up from the child
                 if requirement in child_reqs:
                     result.add(requirement)
-        return frozenset(result)
+        contribution = self._contributions[key] = frozenset(result)
+        return contribution
 
     def _node_level_anywhere(
         self, node_type: frozenset, below_reqs: frozenset

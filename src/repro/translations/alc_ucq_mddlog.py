@@ -67,56 +67,41 @@ def alc_ucq_to_mddlog(omq: OntologyMediatedQuery) -> DisjunctiveDatalogProgram:
     requirement_index = {req: i for i, req in enumerate(abstraction.requirements)}
 
     x, y = Variable("x"), Variable("y")
+    # Atoms are frozen, so each one is built once and shared by every rule
+    # that mentions it: the constraints below reuse a few hundred atoms.
+    at_x = {label: Atom(predicates[label], (x,)) for label in labels}
     rules: list[Rule] = []
     # One label per element.
-    rules.append(
-        Rule(tuple(Atom(predicates[l], (x,)) for l in labels), (adom_atom(x),))
-    )
+    rules.append(Rule(tuple(at_x[l] for l in labels), (adom_atom(x),)))
     # Asserted concept names must belong to the guessed type.
     for symbol in data_schema.concept_names:
         name = ConceptName(symbol.name)
         if name not in system.closure:
             continue
+        asserted = Atom(symbol, (x,))
         for label in labels:
             if name not in label[0]:
-                rules.append(
-                    Rule((), (Atom(predicates[label], (x,)), Atom(symbol, (x,))))
-                )
+                rules.append(Rule((), (at_x[label], asserted)))
     # Role edges must connect compatible types.
     label_ids = [(label, system.type_id(label[0])) for label in labels]
+    at_y = {label: Atom(predicates[label], (y,)) for label in labels}
     for symbol in data_schema.role_names:
         rows = system.compatibility_rows(Role(symbol.name))
+        edge = Atom(symbol, (x, y))
         for (source, i), (target, j) in itertools.product(label_ids, repeat=2):
             if not rows[i] >> j & 1:
-                rules.append(
-                    Rule(
-                        (),
-                        (
-                            Atom(predicates[source], (x,)),
-                            Atom(symbol, (x, y)),
-                            Atom(predicates[target], (y,)),
-                        ),
-                    )
-                )
+                rules.append(Rule((), (at_x[source], edge, at_y[target])))
     # Auxiliary predicates: which labels satisfy which query names / requirements.
     for name in relevant_names:
+        satisfied = Atom(_name_predicate(name), (x,))
         for label in labels:
             if ConceptName(name) in label[0]:
-                rules.append(
-                    Rule(
-                        (Atom(_name_predicate(name), (x,)),),
-                        (Atom(predicates[label], (x,)),),
-                    )
-                )
+                rules.append(Rule((satisfied,), (at_x[label],)))
     for requirement, index in requirement_index.items():
+        satisfied = Atom(_requirement_predicate(index), (x,))
         for label in labels:
             if requirement in label[1]:
-                rules.append(
-                    Rule(
-                        (Atom(_requirement_predicate(index), (x,)),),
-                        (Atom(predicates[label], (x,)),),
-                    )
-                )
+                rules.append(Rule((satisfied,), (at_x[label],)))
     # Goal rules: one per split (and per sub-role choice for hierarchy atoms).
     arity = ucq.arity
     super_roles = {

@@ -51,6 +51,8 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         Rule((Atom(P, (x,)),), ())  # empty body
     with pytest.raises(ValueError):
+        Rule((), ())  # empty body of a constraint: its empty head skips no check
+    with pytest.raises(ValueError):
         Rule((Atom(P, (y,)),), (Atom(A, (x,)),))  # unsafe head variable
 
 

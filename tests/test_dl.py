@@ -1,5 +1,7 @@
 """Tests for DL concepts, ontologies, the FO translation and the reasoner."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -35,7 +37,14 @@ from repro.dl import (
     shi_to_alc,
 )
 from repro.fo import is_gfo, is_unfo
-from repro.workloads.medical import medical_ontology, patient_instance
+from repro.omq.forest import ForestAbstraction
+from repro.workloads.medical import (
+    example_2_1_omq,
+    example_2_2_q1_omq,
+    example_2_2_q2_omq,
+    medical_ontology,
+    patient_instance,
+)
 
 A, B, C = ConceptName("A"), ConceptName("B"), ConceptName("C")
 R = Role("R")
@@ -223,6 +232,74 @@ def test_compatibility_rows_agree_with_closure_scan(ontology):
                 assert system.compatible(source, target, role) == expected
                 row = rows[system.type_id(source)]
                 assert bool(row >> system.type_id(target) & 1) == expected
+
+
+def reference_truth(concept, true_decisions):
+    """The reference: a concept's truth under one decision assignment,
+    evaluated recursively (∀R.C as the negation of its dual ∃R.¬C)."""
+    if isinstance(concept, Top):
+        return True
+    if isinstance(concept, Bottom):
+        return False
+    if isinstance(concept, (ConceptName, Exists)):
+        return concept in true_decisions
+    if isinstance(concept, Not):
+        return not reference_truth(concept.operand, true_decisions)
+    if isinstance(concept, And):
+        return reference_truth(concept.left, true_decisions) and reference_truth(
+            concept.right, true_decisions
+        )
+    if isinstance(concept, Or):
+        return reference_truth(concept.left, true_decisions) or reference_truth(
+            concept.right, true_decisions
+        )
+    if isinstance(concept, Forall):
+        dual = Exists(concept.role, concept.filler.negate())
+        return not reference_truth(dual, true_decisions)
+    raise TypeError(f"unknown concept constructor: {concept!r}")
+
+
+def reference_types(system):
+    """The reference enumeration: one assignment at a time, in
+    ``itertools.product`` order, keeping those that respect every axiom."""
+    decisions = system.concept_name_decisions + system.existential_decisions
+    axioms = [(ci.lhs.nnf(), ci.rhs.nnf()) for ci in system.ontology.concept_inclusions()]
+    types = []
+    for bits in itertools.product((False, True), repeat=len(decisions)):
+        true_decisions = frozenset(d for d, bit in zip(decisions, bits) if bit)
+        if any(
+            reference_truth(lhs, true_decisions) and not reference_truth(rhs, true_decisions)
+            for lhs, rhs in axioms
+        ):
+            continue
+        types.append(
+            frozenset(c for c in system.closure if reference_truth(c, true_decisions))
+        )
+    return types
+
+
+def assert_types_match_reference(system):
+    types = system.all_types()
+    assert types == reference_types(system)
+    assert [system.type_id(t) for t in types] == list(range(len(types)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alch_ontologies())
+def test_type_enumeration_matches_per_assignment_reference(ontology):
+    """Property: the truth-mask enumeration yields the reference's types in
+    the reference's order, so every type keeps its id."""
+    assert_types_match_reference(TypeSystem(ontology))
+
+
+@pytest.mark.parametrize(
+    "factory", [example_2_1_omq, example_2_2_q1_omq, example_2_2_q2_omq]
+)
+def test_table_1_type_enumeration_matches_per_assignment_reference(factory):
+    """The type systems behind the Table 1 compiles, with their UCQ's extra
+    concepts: the same types in the same order as the reference."""
+    omq = factory()
+    assert_types_match_reference(ForestAbstraction(omq.ontology, omq.ucq()).system)
 
 
 def test_reasoner_rejects_unsupported_ontologies():
