@@ -21,9 +21,9 @@ from __future__ import annotations
 import contextlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-from ..core.cq import Atom, Variable
+from ..core.cq import Atom, Variable, canonical_atoms
 from ..core.schema import Schema
 from ..datalog.ddlog import ADOM, GOAL, DisjunctiveDatalogProgram, Rule
 from .deps import (
@@ -431,10 +431,17 @@ def check_unreachable_rules(ctx: ProgramContext) -> Iterator[Diagnostic]:
 def check_subsumed_rules(ctx: ProgramContext) -> Iterator[Diagnostic]:
     rules = ctx.program.rules
     if len(rules) > MAX_SUBSUMPTION_RULES:
-        # Quadratic stage gated; exact duplicates are still caught.
+        # Quadratic stage gated; exact duplicates are still caught.  Each
+        # rule is keyed up to variable renaming, its atoms put in an order
+        # that does not depend on how they were written; the key spells
+        # constants by value.
         seen: dict[tuple, int] = {}
         for index, rule in ctx.rules():
-            key = _canonical_rule(rule)
+            numbering: dict[Variable, int] = {}
+            key = (
+                canonical_atoms(sorted(rule.head, key=_atom_order), numbering),
+                canonical_atoms(sorted(rule.body, key=_atom_order), numbering),
+            )
             if key in seen:
                 yield _subsumption_diagnostic(ctx, index, seen[key], "duplicates")
             else:
@@ -463,25 +470,17 @@ def _subsumption_diagnostic(
     )
 
 
-def _canonical_rule(rule: Rule) -> tuple:
-    """A renaming-invariant key for *exact* duplicate detection."""
-    order: dict[Variable, int] = {}
-
-    def key_term(term):
-        if isinstance(term, Variable):
-            return ("v", order.setdefault(term, len(order)))
-        return ("c", repr(term))
-
-    def key_atoms(atoms: Iterable[Atom]) -> tuple:
-        rendered = sorted(
-            (a.relation.name, a.relation.arity, a.arguments) for a in atoms
-        )
-        return tuple(
-            (name, arity, tuple(key_term(t) for t in args))
-            for name, arity, args in rendered
-        )
-
-    return (key_atoms(rule.head), key_atoms(rule.body))
+def _atom_order(atom: Atom) -> tuple:
+    """A total order on atoms that never compares a variable with a constant
+    (for ordering only: ``repr`` may not tell constants apart)."""
+    return (
+        atom.relation.name,
+        atom.relation.arity,
+        tuple(
+            (True, t.name) if isinstance(t, Variable) else (False, repr(t))
+            for t in atom.arguments
+        ),
+    )
 
 
 def _subsumes(general: Rule, specific: Rule) -> bool:

@@ -10,7 +10,8 @@ The ground clause set is then loaded once into a persistent
 decides all candidate tuples against that shared state: a screening solve
 that branches on every candidate's goal atom false first, then one
 assumption-literal ``solve`` per candidate the models have not refuted.
-Serving sessions run the same routine on their live solvers.
+Serving sessions run the same routine on their live solvers and carry its
+verdicts across updates (:class:`Verdicts`).
 """
 
 from __future__ import annotations
@@ -372,33 +373,95 @@ class GroundProgram:
         return frozenset(arguments for _, arguments in certain)
 
 
+class Verdicts:
+    """What a live solver's earlier decisions still say about its goal atoms.
+
+    ``certain`` holds atoms proved true in every model, ``refuted`` atoms
+    some model leaves false, and ``consistent`` whether any model exists
+    (``None``: unknown).  Updates keep what they cannot invalidate.  An
+    insert only adds clauses and assumptions, so a proof (an UNSAT solve
+    with the atom false) stays a proof.  A delete only retracts assumptions,
+    so every earlier model stays a model: refutations and consistency
+    survive it.  An inconsistent verdict is not carried either way.
+    """
+
+    __slots__ = ("certain", "refuted", "consistent")
+
+    def __init__(self) -> None:
+        self.certain: set[GroundAtom] = set()
+        self.refuted: set[GroundAtom] = set()
+        self.consistent: bool | None = None
+
+    def inserted(self) -> None:
+        self.refuted.clear()
+        self.consistent = None
+
+    def deleted(self) -> None:
+        self.certain.clear()
+        if not self.consistent:
+            self.consistent = None
+
+    def inconsistent(self) -> None:
+        self.certain.clear()
+        self.refuted.clear()
+        self.consistent = False
+
+
 def certain_goal_atoms(
-    solver: ClauseSolver, goal_atoms: Iterable[GroundAtom]
+    solver: ClauseSolver,
+    goal_atoms: Iterable[GroundAtom],
+    verdicts: Verdicts | None = None,
 ) -> set[GroundAtom] | None:
     """The goal atoms true in every model, or ``None`` when there is none.
 
-    The one candidate-decision loop of tier 2.  A screening solve prefers
-    every goal atom false; then, while atoms remain, one solve assumes one
-    of them false and prefers the rest false.  UNSAT makes that atom
-    certain; every model drops each atom it leaves false, since it is a
-    counter-model for them.  With the goal atoms decided first, the models
-    usually refute every non-answer, so a query costs one solve plus one
-    per certain atom.
+    The one candidate-decision loop of tier 2.  Atoms ``verdicts`` already
+    decides are taken from it.  Unless it knows the solver consistent, a
+    screening solve prefers every undecided atom false; then, while atoms
+    remain, one solve assumes one of them false and prefers the rest false.
+    UNSAT makes that atom certain; every model refutes each atom it leaves
+    false, since it is a counter-model for them.  With the goal atoms
+    decided first, the models usually refute every non-answer, so a fresh
+    query costs one solve plus one per certain atom.  The new verdicts are
+    recorded in ``verdicts``, which a live solver's owner carries across
+    updates (see :class:`Verdicts`).
     """
-    pending = list(dict.fromkeys(goal_atoms))
-    if not solver.solve(prefer_false=pending):
+    if verdicts is None:
+        verdicts = Verdicts()
+    certain, refuted = verdicts.certain, verdicts.refuted
+    atoms = list(dict.fromkeys(goal_atoms))
+    pending = [atom for atom in atoms if atom not in certain and atom not in refuted]
+    tel = _telemetry.ACTIVE
+    if tel is not None:
+        tel.count("sat.verdicts_carried", len(atoms) - len(pending))
+        if verdicts.consistent is not None:
+            tel.count("sat.screens_skipped")
+    if verdicts.consistent is False:
         return None
-    certain: set[GroundAtom] = set()
-    model = solver.last_model
-    pending = [atom for atom in pending if model.get(atom, False)]
+    if verdicts.consistent is None:
+        if not solver.solve(prefer_false=pending):
+            verdicts.inconsistent()
+            return None
+        verdicts.consistent = True
+        pending = _refute(solver.last_model, pending, refuted)
     while pending:
         atom = pending.pop()
         if solver.solve(false_atoms=[atom], prefer_false=pending):
-            model = solver.last_model
-            pending = [other for other in pending if model.get(other, False)]
+            refuted.add(atom)
+            pending = _refute(solver.last_model, pending, refuted)
         else:
             certain.add(atom)
-    return certain
+    return {atom for atom in atoms if atom in certain}
+
+
+def _refute(model, pending: list[GroundAtom], refuted: set) -> list[GroundAtom]:
+    """The pending atoms the model makes true; the rest join ``refuted``."""
+    still: list[GroundAtom] = []
+    for atom in pending:
+        if model.get(atom, False):
+            still.append(atom)
+        else:
+            refuted.add(atom)
+    return still
 
 
 def ground_program(

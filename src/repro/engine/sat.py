@@ -23,8 +23,8 @@ satisfiability queries the bounded counter-model engine issues.
 
 from __future__ import annotations
 
-import heapq
-from typing import Hashable, Iterable, Sequence
+import bisect
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..obs import telemetry as _telemetry
 
@@ -65,17 +65,49 @@ class SolverStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
+class Model(Mapping):
+    """One satisfying assignment: atom -> truth value, read from saved phases.
+
+    ``values`` holds ``+1``/``-1`` per solver variable as the model left
+    it; atoms the solver learned about later are not in the model.
+    """
+
+    __slots__ = ("_var_of", "_atoms", "_values")
+
+    def __init__(self, var_of: dict, atoms: list, values: list[int]) -> None:
+        self._var_of = var_of
+        self._atoms = atoms
+        self._values = values
+
+    def __getitem__(self, atom: Atom) -> bool:
+        var = self._var_of[atom]
+        if var >= len(self._values):
+            raise KeyError(atom)
+        return self._values[var] > 0
+
+    def __iter__(self) -> Iterator[Atom]:
+        return iter(self._atoms[: len(self._values)])
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return f"Model({dict(self)!r})"
+
+
 class ClauseSolver:
     """Conflict-driven clause learning (CDCL) with persistent state.
 
     Literals are encoded as ``2 * var`` (positive) and ``2 * var + 1``
     (negated).  The solver implements two-watched-literal propagation, 1UIP
     conflict analysis with non-chronological backjumping, and a decaying
-    activity heuristic; decisions prefer the negative phase, which steers
-    satisfying assignments towards minimal models — the natural choice when
-    searching for counter-models of certain answers.  Atoms a :meth:`solve`
-    call names in ``prefer_false`` are the first decisions after the
-    assumptions, in list order; the activity order comes after them.
+    activity heuristic.  Atoms a :meth:`solve` call names in
+    ``prefer_false`` are the first decisions after the assumptions, each
+    set false, in list order; the activity order comes after them, and
+    each of its decisions sets the variable as the last model did (*phase
+    saving*; false before the first model and for atoms added since), so a
+    solve after a small update revisits a nearly satisfying assignment
+    instead of searching from the all-false one.
 
     Assumptions are handled MiniSat-style: they occupy the first decision
     levels and are re-asserted after backjumps, so learned clauses carry over
@@ -90,18 +122,22 @@ class ClauseSolver:
         self._atoms: list[Atom] = []
         self._clauses: list[list[int]] = []
         self._watches: list[list[int]] = []  # literal -> clause indices
-        self._assign: list[int] = []  # var -> +1 true / -1 false / 0 unassigned
+        self._val: list[int] = []  # literal -> +1 true / -1 false / 0 unassigned
         self._reason: list[int | None] = []  # var -> implying clause index
         self._level: list[int] = []  # var -> decision level of assignment
         self._activity: list[float] = []
-        self._heap: list[tuple[float, int]] = []  # lazy (-activity, var) entries
+        # every (-activity, var), sorted: the branching order; every entry
+        # before position ``_next`` is assigned
+        self._order: list[tuple[float, int]] = []
+        self._next = 0
         self._bump = 1.0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._ok = True  # False once a root-level conflict is derived
         self._sticky: dict[Atom, bool] = {}  # persistent assumptions
-        self.last_model: dict[Atom, bool] = {}
+        # var -> +1/-1 in the last model; a fresh list per SAT result
+        self._phase: list[int] = []
         self.stats = SolverStats()
 
     # -- atoms and literals ----------------------------------------------------
@@ -112,11 +148,13 @@ class ClauseSolver:
             index = len(self._atoms)
             self._var_of[atom] = index
             self._atoms.append(atom)
-            self._assign.append(0)
+            self._val.append(0)
+            self._val.append(0)
             self._reason.append(None)
             self._level.append(0)
             self._activity.append(0.0)
-            heapq.heappush(self._heap, (0.0, index))
+            # activity 0 and the largest index: last in the branching order
+            self._order.append((-0.0, index))
             self._watches.append([])
             self._watches.append([])
         return index
@@ -124,12 +162,6 @@ class ClauseSolver:
     def has_atom(self, atom: Atom) -> bool:
         """Does the atom occur in any clause added so far?"""
         return atom in self._var_of
-
-    def _lit_value(self, lit: int) -> int:
-        value = self._assign[lit >> 1]
-        if value == 0:
-            return 0
-        return -value if lit & 1 else value
 
     # -- clause management -----------------------------------------------------
 
@@ -151,13 +183,14 @@ class ClauseSolver:
         for atom in negative:
             literals.append((self._var(atom) << 1) | 1)
         deduped: list[int] = []
+        val = self._val
         for lit in literals:
             if lit ^ 1 in seen:
                 return  # tautology
             if lit in seen:
                 continue
             seen.add(lit)
-            value = self._lit_value(lit)
+            value = val[lit]
             if value > 0:
                 return  # satisfied at the root level: permanently redundant
             if value == 0:
@@ -181,79 +214,105 @@ class ClauseSolver:
     # -- assignment control ----------------------------------------------------
 
     def _assign_lit(self, lit: int, reason: int | None) -> None:
+        val = self._val
+        val[lit] = 1
+        val[lit ^ 1] = -1
         var = lit >> 1
-        self._assign[var] = -1 if lit & 1 else 1
         self._reason[var] = reason
         self._level[var] = len(self._trail_lim)
         self._trail.append(lit)
 
-    def _new_level(self) -> None:
-        self._trail_lim.append(len(self._trail))
-
     def _backtrack(self, level: int) -> None:
-        while len(self._trail_lim) > level:
-            mark = self._trail_lim.pop()
-            while len(self._trail) > mark:
-                var = self._trail.pop() >> 1
-                self._assign[var] = 0
-                self._reason[var] = None
-                # re-enter the branching heap with the current activity
-                heapq.heappush(self._heap, (-self._activity[var], var))
-        self._qhead = min(self._qhead, len(self._trail))
+        """Unassign every level above ``level``.
+
+        Reasons and levels are left stale (both are rewritten whenever the
+        variable is assigned again), and the branching order is not touched:
+        its cursor rewinds to the front, and the next decision scans forward
+        to the first unassigned entry.
+        """
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
+            return
+        trail = self._trail
+        mark = trail_lim[level]
+        del trail_lim[level:]
+        val = self._val
+        for lit in trail[mark:]:
+            val[lit] = val[lit ^ 1] = 0
+        del trail[mark:]
+        if self._qhead > mark:
+            self._qhead = mark
+        self._next = 0
 
     def _propagate(self) -> int | None:
         """Exhaust unit propagation; returns a conflicting clause index or None."""
+        trail = self._trail
+        val = self._val
+        watches = self._watches
+        clauses = self._clauses
+        reason = self._reason
+        levels = self._level
+        depth = len(self._trail_lim)
+        qhead = self._qhead
         propagated = 0
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            false_lit = lit ^ 1
-            watchers = self._watches[false_lit]
-            self._watches[false_lit] = []
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
+            kept: list[int] = []
+            watches[false_lit] = kept
             for position, index in enumerate(watchers):
-                clause = self._clauses[index]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                if self._lit_value(clause[0]) > 0:
-                    self._watches[false_lit].append(index)
+                clause = clauses[index]
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if val[first] > 0:
+                    kept.append(index)
                     continue
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) >= 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(index)
+                    lit = clause[k]
+                    if val[lit] >= 0:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches[lit].append(index)
                         break
                 else:
-                    self._watches[false_lit].append(index)
-                    if self._lit_value(clause[0]) < 0:
+                    kept.append(index)
+                    if val[first] < 0:
                         # conflict: restore the untraversed watchers and bail
-                        self._watches[false_lit].extend(watchers[position + 1 :])
-                        self._qhead = len(self._trail)
+                        kept.extend(watchers[position + 1 :])
+                        self._qhead = len(trail)
                         self.stats.propagations += propagated
                         return index
-                    self._assign_lit(clause[0], index)
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    reason[first >> 1] = index
+                    levels[first >> 1] = depth
+                    trail.append(first)
                     propagated += 1
+        self._qhead = qhead
         self.stats.propagations += propagated
         return None
 
     # -- conflict analysis -----------------------------------------------------
 
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._bump
-        if self._activity[var] > self._ACTIVITY_LIMIT:
+        activity = self._activity
+        old = activity[var]
+        new = old + self._bump
+        activity[var] = new
+        if new > self._ACTIVITY_LIMIT:
             scale = 1.0 / self._ACTIVITY_LIMIT
-            self._activity = [a * scale for a in self._activity]
+            self._activity = [a * scale for a in activity]
             self._bump *= scale
-            self._rebuild_heap()
+            self._order = sorted((-a, v) for v, a in enumerate(self._activity))
         else:
-            heapq.heappush(self._heap, (-self._activity[var], var))
-
-    def _rebuild_heap(self) -> None:
-        self._heap = [
-            (-activity, var)
-            for var, activity in enumerate(self._activity)
-            if self._assign[var] == 0
-        ]
-        heapq.heapify(self._heap)
+            order = self._order
+            del order[bisect.bisect_left(order, (-old, var))]
+            bisect.insort(order, (-new, var))
+        self._next = 0
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """1UIP conflict analysis: (learned clause, backjump level).
@@ -261,29 +320,31 @@ class ClauseSolver:
         The learned clause's first literal is the asserting literal (unit at
         the backjump level).
         """
+        levels = self._level
+        trail = self._trail
         current = len(self._trail_lim)
         learned: list[int] = []
         seen: set[int] = set()
         counter = 0
         p: int | None = None
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         clause = self._clauses[conflict]
         while True:
             for lit in clause:
                 if p is not None and lit == p:
                     continue
                 var = lit >> 1
-                if var in seen or self._level[var] == 0:
+                if var in seen or levels[var] == 0:
                     continue
                 seen.add(var)
                 self._bump_var(var)
-                if self._level[var] == current:
+                if levels[var] == current:
                     counter += 1
                 else:
                     learned.append(lit)
-            while self._trail[index] >> 1 not in seen:
+            while trail[index] >> 1 not in seen:
                 index -= 1
-            p = self._trail[index]
+            p = trail[index]
             index -= 1
             seen.discard(p >> 1)
             counter -= 1
@@ -294,29 +355,9 @@ class ClauseSolver:
         if len(learned) == 1:
             return learned, 0
         # place a literal of the backjump level at the second watch position
-        widest = max(range(1, len(learned)), key=lambda i: self._level[learned[i] >> 1])
+        widest = max(range(1, len(learned)), key=lambda i: levels[learned[i] >> 1])
         learned[1], learned[widest] = learned[widest], learned[1]
-        return learned, self._level[learned[1] >> 1]
-
-    def _pick_branch(self) -> int | None:
-        """The unassigned variable of maximal activity (lowest index on ties).
-
-        The heap holds lazy ``(-activity, var)`` entries: every variable
-        creation, activity bump and unassignment pushes a fresh entry, so an
-        entry is discarded when its variable is assigned or its recorded
-        activity is stale (a fresher entry must then exist).
-        """
-        heap = self._heap
-        if len(heap) > 4 * len(self._atoms) + 1024:
-            self._rebuild_heap()
-            heap = self._heap
-        while heap:
-            negated, var = heap[0]
-            if self._assign[var] != 0 or -negated != self._activity[var]:
-                heapq.heappop(heap)
-                continue
-            return var
-        return None
+        return learned, levels[learned[1] >> 1]
 
     # -- persistent assumptions ------------------------------------------------
 
@@ -380,6 +421,15 @@ class ClauseSolver:
         tel.count("sat.learned_clauses", stats.learned_clauses - before[3])
         return result
 
+    @property
+    def last_model(self) -> Mapping[Atom, bool]:
+        """The model of the last satisfiable :meth:`solve` call.
+
+        A read-only view of that call's saved phases: it covers the atoms
+        known when the model was found and never changes afterwards.
+        """
+        return Model(self._var_of, self._atoms, self._phase)
+
     def _solve(
         self,
         false_atoms: Iterable[Atom],
@@ -408,10 +458,7 @@ class ClauseSolver:
         preferred = [self._var_of[a] for a in prefer_false if a in self._var_of]
         result = self._search(assumptions, preferred)
         if result:
-            self.last_model = {
-                atom: self._assign[var] > 0
-                for atom, var in self._var_of.items()
-            }
+            self._phase = self._val[::2]
         self._backtrack(0)
         return result
 
@@ -422,41 +469,57 @@ class ClauseSolver:
         # it were assigned at levels <= b and survive the backjump.
         cursor = 0
         marks: list[int] = []
+        val = self._val
+        trail = self._trail
+        trail_lim = self._trail_lim
+        phase = self._phase
+        stats = self.stats
         while True:
             conflict = self._propagate()
             if conflict is None:
-                depth = len(self._trail_lim)
+                depth = len(trail_lim)
                 if depth < len(assumptions):
                     # (re-)assert the next assumption as a decision
                     lit = assumptions[depth]
-                    value = self._lit_value(lit)
+                    value = val[lit]
                     if value < 0:
                         return False
                     marks.append(cursor)
-                    self._new_level()
+                    trail_lim.append(len(trail))
                     if value == 0:
                         self._assign_lit(lit, None)
                     continue
-                while cursor < len(preferred) and self._assign[preferred[cursor]]:
+                while cursor < len(preferred) and val[preferred[cursor] << 1]:
                     cursor += 1
                 if cursor < len(preferred):
-                    var = preferred[cursor]
+                    lit = (preferred[cursor] << 1) | 1
                 else:
-                    var = self._pick_branch()
-                    if var is None:
+                    # the first unassigned variable in the activity order,
+                    # in the phase of the last model
+                    order = self._order
+                    position = self._next
+                    while position < len(order) and val[order[position][1] << 1]:
+                        position += 1
+                    self._next = position
+                    if position == len(order):
                         return True
+                    var = order[position][1]
+                    if var < len(phase) and phase[var] > 0:
+                        lit = var << 1
+                    else:
+                        lit = (var << 1) | 1
                 marks.append(cursor)
-                self._new_level()
-                self._assign_lit((var << 1) | 1, None)  # negative phase first
-                self.stats.decisions += 1
+                trail_lim.append(len(trail))
+                self._assign_lit(lit, None)
+                stats.decisions += 1
                 continue
-            self.stats.conflicts += 1
-            if not self._trail_lim:
+            stats.conflicts += 1
+            if not trail_lim:
                 self._ok = False  # conflict at the root level: no model at all
                 return False
             learned, backjump = self._analyze(conflict)
-            self.stats.learned_clauses += 1
-            self.stats.learned_literals += len(learned)
+            stats.learned_clauses += 1
+            stats.learned_literals += len(learned)
             self._backtrack(backjump)
             cursor = marks[backjump]
             del marks[backjump:]

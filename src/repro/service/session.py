@@ -23,7 +23,13 @@ Each compiled query is routed by the tiered planner
   (:class:`repro.service.delta.DeltaGrounder`): insertions push only the
   newly justified clauses, deletions retract the facts' guard assumptions,
   and :func:`~repro.engine.grounder.certain_goal_atoms` decides the
-  candidates on the warm solver, with all learned clauses intact.
+  candidates on the warm solver, with all learned clauses intact.  The
+  verdicts of the last queries carry over by update kind: after inserts
+  only, certain answers stay certain and one screening solve decides the
+  rest; after deletes only, refuted candidates stay refuted and the data
+  stays consistent, so only the former answers are re-proved, with no
+  screening solve.  An epoch that mixes both, inconsistent data,
+  :meth:`ObdaSession.compact` and an adaptive swap start from nothing.
 
 Answers after every update are identical to a from-scratch recomputation
 over the current instance (the streaming test-suite cross-validates this on
@@ -48,7 +54,7 @@ from typing import Iterable, Mapping, Sequence
 from ..analysis import vet_program
 from ..core.instance import Fact, Instance, MutableIndexedInstance
 from ..datalog.ddlog import DisjunctiveDatalogProgram
-from ..engine.grounder import certain_goal_atoms
+from ..engine.grounder import Verdicts, certain_goal_atoms
 from ..engine.sat import ClauseSolver
 from ..obs import telemetry as _telemetry
 from ..omq.query import OntologyMediatedQuery
@@ -112,8 +118,9 @@ class _State:
 class _SatState(_State):
     """Tier 2: guarded ground program + persistent CDCL solver for one query.
 
-    ``_consistent`` keeps the last assumption-free verdict (a screening
-    solve or a consistency check) until the next insert or delete.
+    ``verdicts`` carries the goal-atom verdicts and the consistency verdict
+    across updates, each as far as its update kind allows
+    (:class:`~repro.engine.grounder.Verdicts`).
     """
 
     def __init__(self, plan: QueryPlan) -> None:
@@ -122,10 +129,10 @@ class _SatState(_State):
         self.solver = ClauseSolver()
         for negative, positive in self.grounder.bootstrap_clauses():
             self.solver.add_clause(negative, positive)
-        self._consistent: bool | None = None
+        self.verdicts = Verdicts()
 
     def insert(self, old: Instance, delta: Instance, new: Instance) -> int:
-        self._consistent = None
+        self.verdicts.inserted()
         clauses = self.grounder.insert(old, delta, new)
         for negative, positive in clauses:
             self.solver.add_clause(negative, positive)
@@ -134,7 +141,7 @@ class _SatState(_State):
         return len(clauses)
 
     def delete(self, removed: Iterable[Fact]) -> None:
-        self._consistent = None
+        self.verdicts.deleted()
         for fact in removed:
             self.solver.retract_assumption(fact_guard(fact))
 
@@ -145,9 +152,7 @@ class _SatState(_State):
         return frozenset(c for c, certain in decided.items() if certain)
 
     def is_consistent(self, instance: Instance) -> bool:
-        if self._consistent is None:
-            self._consistent = self.solver.solve()
-        return self._consistent
+        return certain_goal_atoms(self.solver, (), self.verdicts) is not None
 
     def decide_batch(
         self, instance: Instance, candidates: Sequence[tuple]
@@ -160,8 +165,7 @@ class _SatState(_State):
             for candidate in candidates
             if all(value in adom for value in candidate)
         ]
-        certain = certain_goal_atoms(self.solver, atoms)
-        self._consistent = certain is not None
+        certain = certain_goal_atoms(self.solver, atoms, self.verdicts)
         if certain is None:
             # No model extends the data at all: every tuple over the active
             # domain is vacuously certain.

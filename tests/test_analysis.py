@@ -285,6 +285,78 @@ def test_md006_constraint_subsumes_on_body_alone():
     ), report.format_text()
 
 
+R = RelationSymbol("R", 2)
+GOAL1 = RelationSymbol(GOAL, 1)
+
+
+def _past_pairwise_limit(*rules: Rule) -> DisjunctiveDatalogProgram:
+    """The rules after 300 clean fillers: MD006 only keys duplicates."""
+    fillers = [
+        Rule((Atom(GOAL1, (x,)),), (Atom(RelationSymbol(f"F{i}", 1), (x,)),))
+        for i in range(300)
+    ]
+    return DisjunctiveDatalogProgram(fillers + list(rules))
+
+
+class _Tag:
+    """A constant whose ``repr`` does not tell its values apart."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Tag) and other.value == self.value
+
+    def __hash__(self) -> int:
+        return hash(("_Tag", self.value))
+
+    def __repr__(self) -> str:
+        return "tag"
+
+
+def test_md006_past_the_pairwise_limit_keys_a_body_mixing_constants_and_variables():
+    program = _past_pairwise_limit(
+        Rule((Atom(GOAL1, (x,)),), (Atom(R, (x, "a")), Atom(R, (x, y)))),
+        Rule((Atom(GOAL1, (x,)),), (Atom(R, ("a", x)),)),
+    )
+    report = analyse(program)
+    assert report.errors == report.warnings == (), report.format_text()
+    session = ObdaSession(program)  # check="warn" by default
+    session.insert_facts([Fact(R, ("b", "a")), Fact(R, ("a", "c"))])
+    assert session.certain_answers() == {("b",), ("c",)}
+
+
+def test_md006_past_the_pairwise_limit_tells_equal_repr_constants_apart():
+    program = _past_pairwise_limit(
+        Rule((Atom(GOAL1, (x,)),), (Atom(R, (x, _Tag(1))),)),
+        Rule((Atom(GOAL1, (x,)),), (Atom(R, (x, _Tag(2))),)),
+        Rule((Atom(GOAL1, (x,)),), (Atom(R, (_Tag(1), x)),)),
+        Rule((Atom(GOAL1, (x,)),), (Atom(R, (_Tag(2), x)),)),
+    )
+    assert analyse(program).by_code("MD006") == ()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (
+            Rule((Atom(GOAL1, (x,)),), (Atom(R, (x, y)), Atom(B, (y,)))),
+            Rule((Atom(GOAL1, (z,)),), (Atom(B, (x,)), Atom(R, (z, x)))),
+        ),
+        (
+            Rule((Atom(GOAL1, (x,)),), (Atom(R, (x, y)), Atom(R, (y, z)))),
+            Rule((Atom(GOAL1, (x,)),), (Atom(R, (y, z)), Atom(R, (x, y)))),
+        ),
+    ],
+    ids=["renamed", "same-predicate-body-permuted"],
+)
+def test_md006_past_the_pairwise_limit_reports_a_renamed_duplicate(first, second):
+    program = _past_pairwise_limit(first, second)
+    [diagnostic] = analyse(program).by_code("MD006")
+    assert diagnostic.rule_index == 301
+    assert diagnostic.message.startswith("rule duplicates rule 300")
+
+
 def test_severity_views_and_merge():
     report = analyse(seed_md001())
     assert report.has_errors

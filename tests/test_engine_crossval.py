@@ -322,6 +322,22 @@ def test_prefer_false_decides_the_preferred_atom_first():
         assert solver.last_model == {preferred: False, other: True}
 
 
+def test_last_model_is_a_snapshot_of_its_solve():
+    """``last_model`` reads one SAT result: later solves and later atoms
+    leave a model already handed out as it was."""
+    solver = solver_for_clauses([(frozenset(), frozenset({"a", "b"}))])
+    assert solver.solve(prefer_false=["a"])
+    first = solver.last_model
+    assert first == {"a": False, "b": True}
+    solver.add_clause([], ["c"])
+    assert solver.solve(false_atoms=["b"])
+    assert solver.last_model == {"a": True, "b": False, "c": True}
+    assert first == {"a": False, "b": True}
+    assert "c" not in first and first.get("c") is None
+    assert not solver.solve(false_atoms=["a", "b"])
+    assert solver.last_model == {"a": True, "b": False, "c": True}
+
+
 L1 = RelationSymbol("L1", 1)
 L2 = RelationSymbol("L2", 1)
 
