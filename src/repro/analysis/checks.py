@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from ..core.cq import Atom, Variable, canonical_atoms
+from ..core.cq import Atom, Variable
 from ..core.schema import Schema
 from ..datalog.ddlog import ADOM, GOAL, DisjunctiveDatalogProgram, Rule
+from ..obs import telemetry as _telemetry
 from .deps import (
     dependency_graph,
     idb_names,
@@ -82,6 +84,127 @@ def all_codes() -> tuple[str, ...]:
     return tuple(REGISTRY)
 
 
+@dataclass(frozen=True)
+class PatternFacts:
+    """What a rule's argument pattern alone decides (one record per pattern)."""
+
+    safe: bool  # MD002: the body is non-empty and binds every head variable
+    connected: bool  # MD101: the body's variables are connected
+    constant_free: bool  # MD007/MD102: no argument is a constant
+
+
+def rule_patterns(
+    rules: Sequence[Rule],
+) -> tuple[list[tuple], list[PatternFacts], int]:
+    """One pass over ``rules``: each rule's key and its pattern's facts.
+
+    A rule's key is ``(relations, pattern)``.  Its head atoms and its body
+    atoms, each side sorted by :func:`_atom_order`, are spelt twice: once
+    as ``(name, arity)`` pairs (``relations``) and once as argument tuples
+    in which variables are numbered by first occurrence, head first, and a
+    constant is ``("c", value)`` (``pattern``).  So two rules with atoms in
+    that order have equal keys iff they are equal up to variable renaming,
+    and constants compare by value, never by ``repr``.
+
+    :class:`PatternFacts` depend on the pattern alone, so they are computed
+    once per distinct pattern, on the first rule that has it; rules sharing
+    a pattern share the record.  Returns the keys and facts, one each per
+    rule, and the number of patterns.
+    """
+    # id(atom) -> (order, relation, arguments spelt with program-wide
+    # variable ids), once per atom object: compiled programs share atoms
+    # across rules, and the ids stay unique while ``rules`` holds the atoms.
+    distinct = {
+        id(atom): atom
+        for rule in rules
+        for atom in itertools.chain(rule.head, rule.body)
+    }
+    variables: dict[Variable, int] = {}
+    atoms = {
+        key: (
+            _atom_order(atom),
+            (atom.relation.name, atom.relation.arity),
+            tuple(
+                variables.setdefault(term, len(variables))
+                if isinstance(term, Variable)
+                else ("c", term)
+                for term in atom.arguments
+            ),
+        )
+        for key, atom in distinct.items()
+    }
+    # Spelt arguments -> (pattern, facts), and pattern -> facts.
+    spellings: dict[tuple, tuple[tuple, PatternFacts]] = {}
+    patterns: dict[tuple, PatternFacts] = {}
+    keys: list[tuple] = []
+    facts: list[PatternFacts] = []
+    described = atoms.__getitem__
+    for rule in rules:
+        head = sorted(map(described, map(id, rule.head)), key=_ORDER)
+        body = sorted(map(described, map(id, rule.body)), key=_ORDER)
+        spelt = (tuple(map(_SPELT, head)), tuple(map(_SPELT, body)))
+        entry = spellings.get(spelt)
+        if entry is None:
+            pattern = _renumbered(spelt)
+            found = patterns.get(pattern)
+            if found is None:
+                found = patterns[pattern] = _pattern_facts(rule)
+            entry = spellings[spelt] = (pattern, found)
+        relations = (tuple(map(_RELATION, head)), tuple(map(_RELATION, body)))
+        keys.append((relations, entry[0]))
+        facts.append(entry[1])
+    return keys, facts, len(patterns)
+
+
+# The fields of an atom's description in ``rule_patterns``.
+_ORDER, _RELATION, _SPELT = (operator.itemgetter(i) for i in range(3))
+
+
+def _renumbered(spelt: tuple) -> tuple:
+    """Renumber program-wide variable ids (ints) by first occurrence in the
+    rule; constants, spelt ``("c", value)``, stay as they are."""
+    numbering: dict[int, int] = {}
+    return tuple(
+        tuple(
+            tuple(
+                numbering.setdefault(term, len(numbering))
+                if type(term) is int
+                else term
+                for term in arguments
+            )
+            for arguments in side
+        )
+        for side in spelt
+    )
+
+
+def _pattern_facts(rule: Rule) -> PatternFacts:
+    return PatternFacts(
+        safe=bool(rule.body) and not _unsafe_variables(rule),
+        connected=rule.is_connected(),
+        constant_free=not _constants(rule),
+    )
+
+
+def _unsafe_variables(rule: Rule) -> list[Variable]:
+    """The head variables no body atom binds, sorted by name."""
+    body_vars = {v for atom in rule.body for v in atom.variables}
+    return sorted(
+        {v for atom in rule.head for v in atom.variables if v not in body_vars},
+        key=str,
+    )
+
+
+def _constants(rule: Rule) -> list:
+    """The rule's constant occurrences: head, then body, as written."""
+    return [
+        term
+        for atom in itertools.chain(rule.head, rule.body)
+        for term in atom.arguments
+        if not isinstance(term, Variable)
+    ]
+
+
 @dataclass
 class ProgramContext:
     """Everything the checks share: the program plus precomputed views.
@@ -90,6 +213,14 @@ class ProgramContext:
     from the compiled program's source OMQ (``program.source_omq``) unless
     passed explicitly; ``None`` means the EDB is open (any relation not
     derived by a rule is assumed to be data).
+
+    One pass, :func:`rule_patterns`, does the per-rule work of the checks:
+    ``keys`` holds each rule's canonical key (MD001 reads its relations,
+    MD006 its duplicates) and ``facts`` the :class:`PatternFacts` of its
+    argument pattern (MD002, MD007, MD101, MD102), computed once per
+    distinct pattern.  A check runs its per-rule code only on the rules
+    whose pattern fails a fact (:meth:`failing`), so its messages, rule
+    indexes and order are those of a walk over every rule.
     """
 
     program: DisjunctiveDatalogProgram
@@ -97,6 +228,9 @@ class ProgramContext:
     instance_schema: Schema | None = None
     idb: set[str] = field(init=False)
     graph: dict[str, set[str]] = field(init=False)
+    keys: list[tuple] = field(init=False)
+    facts: list[PatternFacts] = field(init=False)
+    patterns: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.edb_schema is None:
@@ -105,9 +239,16 @@ class ProgramContext:
                 self.edb_schema = getattr(source, "data_schema", None)
         self.idb = idb_names(self.program)
         self.graph = dependency_graph(self.program)
+        self.keys, self.facts, self.patterns = rule_patterns(self.program.rules)
 
     def rules(self) -> Iterator[tuple[int, Rule]]:
         return enumerate(self.program.rules)
+
+    def failing(self, fact: str) -> Iterator[tuple[int, Rule]]:
+        """The rules whose pattern fails ``fact``, in program order."""
+        fails = map(operator.not_, map(operator.attrgetter(fact), self.facts))
+        for index in itertools.compress(itertools.count(), fails):
+            yield index, self.program.rules[index]
 
 
 def analyse(
@@ -119,9 +260,13 @@ def analyse(
 
     The no-evidence form (``edb_schema=None``, ``instance=None``) is cached
     on the program object — sessions, shards and the planner all vet the
-    same compiled program once.  Analysis cost is one pass per check over
-    the rules (plus a capped quadratic subsumption stage), strictly off the
-    evaluation hot path.
+    same compiled program once.  The checks share one pass over the rules
+    (:class:`ProgramContext`) that keys each rule once and vets each
+    distinct argument pattern once, so a compiled program whose thousands
+    of rules fall into a handful of patterns costs a linear pass plus a
+    capped quadratic subsumption stage, strictly off the evaluation hot
+    path.  With telemetry on, counts ``analysis.rules`` and
+    ``analysis.rule_patterns`` (the patterns whose facts were computed).
     """
     if edb_schema is None and instance is None:
         cached = getattr(program, "_analysis_report", None)
@@ -129,6 +274,10 @@ def analyse(
             return cached
     instance_schema = instance.schema() if instance is not None else None
     context = ProgramContext(program, edb_schema, instance_schema)
+    tel = _telemetry.ACTIVE
+    if tel is not None:
+        tel.count("analysis.rules", len(program.rules))
+        tel.count("analysis.rule_patterns", context.patterns)
     found: list[Diagnostic] = []
     for check in _CHECKS:
         found.extend(check(context))
@@ -192,14 +341,20 @@ def vet_program(
     )
 )
 def check_arity_consistency(ctx: ProgramContext) -> Iterator[Diagnostic]:
-    seen: dict[str, dict[int, str]] = {}
+    # name -> arity -> where first used: a rule index, or the evidence.
+    seen: dict[str, dict[int, int | str]] = {}
 
-    def observe(name: str, arity: int, where: str) -> None:
+    def observe(name: str, arity: int, where: int | str) -> None:
         seen.setdefault(name, {}).setdefault(arity, where)
 
-    for index, rule in ctx.rules():
-        for atom in itertools.chain(rule.head, rule.body):
-            observe(atom.relation.name, atom.relation.arity, f"rule {index}")
+    first_use: dict[tuple[str, int], int] = {}
+    for index, (relations, _) in enumerate(ctx.keys):
+        for side in relations:
+            for relation in side:
+                if relation not in first_use:
+                    first_use[relation] = index
+    for (name, arity), index in first_use.items():
+        observe(name, arity, index)
     observe(ctx.program.goal_relation.name, ctx.program.goal_relation.arity, "goal")
     for schema, where in (
         (ctx.edb_schema, "declared data schema"),
@@ -212,7 +367,7 @@ def check_arity_consistency(ctx: ProgramContext) -> Iterator[Diagnostic]:
         expected = {ADOM: 1}.get(name)
         if expected is not None and list(arities) != [expected]:
             wrong = ", ".join(
-                f"{arity} ({where})"
+                f"{arity} ({_where(where)})"
                 for arity, where in sorted(arities.items())
                 if arity != expected
             )
@@ -226,7 +381,7 @@ def check_arity_consistency(ctx: ProgramContext) -> Iterator[Diagnostic]:
             )
         elif len(arities) > 1:
             uses = ", ".join(
-                f"{arity} ({where})" for arity, where in sorted(arities.items())
+                f"{arity} ({_where(where)})" for arity, where in sorted(arities.items())
             )
             yield Diagnostic(
                 "MD001",
@@ -235,6 +390,10 @@ def check_arity_consistency(ctx: ProgramContext) -> Iterator[Diagnostic]:
                 subject=name,
                 suggestion="rename one of the relations or fix the argument list",
             )
+
+
+def _where(where: int | str) -> str:
+    return f"rule {where}" if isinstance(where, int) else where
 
 
 @register(
@@ -251,7 +410,7 @@ def check_safety(ctx: ProgramContext) -> Iterator[Diagnostic]:
     # rules built by generators/translations that bypass the constructor
     # (or future negated contexts) still hit a structured error instead of
     # an empty join deep in the engine.
-    for index, rule in ctx.rules():
+    for index, rule in ctx.failing("safe"):
         if not rule.body:
             yield Diagnostic(
                 "MD002",
@@ -262,17 +421,7 @@ def check_safety(ctx: ProgramContext) -> Iterator[Diagnostic]:
                 suggestion="assert the head as EDB facts instead",
             )
             continue
-        body_vars = {v for atom in rule.body for v in atom.variables}
-        unsafe = sorted(
-            {
-                v
-                for atom in rule.head
-                for v in atom.variables
-                if v not in body_vars
-            },
-            key=str,
-        )
-        for variable in unsafe:
+        for variable in _unsafe_variables(rule):
             yield Diagnostic(
                 "MD002",
                 ERROR,
@@ -431,21 +580,18 @@ def check_unreachable_rules(ctx: ProgramContext) -> Iterator[Diagnostic]:
 def check_subsumed_rules(ctx: ProgramContext) -> Iterator[Diagnostic]:
     rules = ctx.program.rules
     if len(rules) > MAX_SUBSUMPTION_RULES:
-        # Quadratic stage gated; exact duplicates are still caught.  Each
-        # rule is keyed up to variable renaming, its atoms put in an order
-        # that does not depend on how they were written; the key spells
-        # constants by value.
+        # Quadratic stage gated; exact duplicates are still caught, by the
+        # rule keys of the shared pass (equal up to variable renaming, with
+        # constants by value).  The key puts atoms in ``_atom_order``, which
+        # spells variables by name, so it depends on how they were written:
+        # ``goal <- R(y,x) & R(x,z)`` is not reported as a duplicate of
+        # ``goal <- R(x,y) & R(y,z)`` here, while the pairwise stage below
+        # reports it.
         seen: dict[tuple, int] = {}
-        for index, rule in ctx.rules():
-            numbering: dict[Variable, int] = {}
-            key = (
-                canonical_atoms(sorted(rule.head, key=_atom_order), numbering),
-                canonical_atoms(sorted(rule.body, key=_atom_order), numbering),
-            )
-            if key in seen:
-                yield _subsumption_diagnostic(ctx, index, seen[key], "duplicates")
-            else:
-                seen[key] = index
+        for index, key in enumerate(ctx.keys):
+            first = seen.setdefault(key, index)
+            if first != index:
+                yield _subsumption_diagnostic(ctx, index, first, "duplicates")
         return
     for j, later in enumerate(rules):
         for i in range(j):
@@ -556,11 +702,9 @@ def _subsumes(general: Rule, specific: Rule) -> bool:
 )
 def check_singleton_constants(ctx: ProgramContext) -> Iterator[Diagnostic]:
     occurrences: dict = {}
-    for index, rule in ctx.rules():
-        for atom in itertools.chain(rule.head, rule.body):
-            for term in atom.arguments:
-                if not isinstance(term, Variable):
-                    occurrences.setdefault(term, []).append((index, rule))
+    for index, rule in ctx.failing("constant_free"):
+        for term in _constants(rule):
+            occurrences.setdefault(term, []).append((index, rule))
     for constant, where in sorted(occurrences.items(), key=lambda kv: repr(kv[0])):
         if len(where) != 1:
             continue
@@ -605,11 +749,12 @@ def check_singleton_constants(ctx: ProgramContext) -> Iterator[Diagnostic]:
     ),
 )
 def check_shardability(ctx: ProgramContext) -> Iterator[Diagnostic]:
-    yield from shardability_diagnostics(ctx.program)
+    yield from shardability_diagnostics(ctx.program, ctx.facts)
 
 
 def shardability_diagnostics(
     program: DisjunctiveDatalogProgram,
+    facts: Sequence[PatternFacts] | None = None,
 ) -> Iterator[Diagnostic]:
     """The exact conditions :class:`repro.service.shards.ShardedObdaSession`
     enforces, as structured diagnostics.
@@ -617,7 +762,9 @@ def shardability_diagnostics(
     The runtime raises these (as ``ProgramAnalysisError``) at construction;
     the linter reports them as *info* — a program that will never shard is
     perfectly serveable by a single session.  Same codes, same messages, so
-    a lint run predicts the runtime rejection verbatim.
+    a lint run predicts the runtime rejection verbatim.  ``facts`` are the
+    rules' :class:`PatternFacts` when the caller has them (the analyzer
+    passes its shared pass's); otherwise they are computed here.
     """
     for symbol in sorted(program.idb_relations):
         if symbol.arity == 0 and symbol.name != GOAL:
@@ -629,8 +776,13 @@ def shardability_diagnostics(
                 suggestion="parameterize the relation by a data element, "
                 "or serve the workload unsharded",
             )
-    for index, rule in enumerate(program.rules):
-        if not rule.is_connected():
+    if facts is None:
+        _, facts, _ = rule_patterns(program.rules)
+    for index, pattern in enumerate(facts):
+        if pattern.connected and pattern.constant_free:
+            continue
+        rule = program.rules[index]
+        if not pattern.connected:
             yield Diagnostic(
                 "MD101",
                 INFO,
@@ -640,19 +792,17 @@ def shardability_diagnostics(
                 suggestion="split the rule through an intermediate IDB "
                 "relation joining the components, or serve unsharded",
             )
-        for atom in itertools.chain(rule.head, rule.body):
-            for term in atom.arguments:
-                if not isinstance(term, Variable):
-                    yield Diagnostic(
-                        "MD102",
-                        INFO,
-                        f"constant {term!r} in rule: {rule}",
-                        rule_index=index,
-                        rule=str(rule),
-                        subject=repr(term),
-                        suggestion="lift the constant into a unary EDB "
-                        "relation, or serve unsharded",
-                    )
+        for term in _constants(rule):
+            yield Diagnostic(
+                "MD102",
+                INFO,
+                f"constant {term!r} in rule: {rule}",
+                rule_index=index,
+                rule=str(rule),
+                subject=repr(term),
+                suggestion="lift the constant into a unary EDB "
+                "relation, or serve unsharded",
+            )
 
 
 # ---------------------------------------------------------------------------

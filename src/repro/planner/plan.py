@@ -426,7 +426,8 @@ def program_identity_key(program: DisjunctiveDatalogProgram) -> tuple:
 
     Two programs get equal keys iff they have the same goal relation and
     the same *set* of rules up to per-rule variable renaming — i.e. they
-    are interchangeable for planning and evaluation.  Constants are kept
+    are interchangeable for planning and evaluation.  The rules are held
+    as a ``frozenset``, so rule order never matters; constants are kept
     as the constant objects themselves (compared by ``__eq__``), so
     distinct constants that merely share a ``repr`` never collide.  The
     key is cached on the program object.
@@ -434,12 +435,11 @@ def program_identity_key(program: DisjunctiveDatalogProgram) -> tuple:
     cached = getattr(program, _IDENTITY_KEY_ATTR, None)
     if cached is not None:
         return cached
-    rules = sorted((_canonical_rule(rule) for rule in program.rules), key=repr)
     key = (
         "obda-program/v1",
         program.goal_relation.name,
         program.goal_relation.arity,
-        tuple(rules),
+        frozenset(map(_canonical_rule, program.rules)),
     )
     try:
         setattr(program, _IDENTITY_KEY_ATTR, key)

@@ -11,11 +11,13 @@ baseline program which must produce zero diagnostics).
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import (
     CHECK_MODES,
@@ -23,22 +25,32 @@ from repro.analysis import (
     Diagnostic,
     DiagnosticReport,
     ProgramAnalysisError,
+    ProgramContext,
     all_codes,
     analyse,
+    checks,
     merge_reports,
     shardability_diagnostics,
     vet_program,
 )
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.harvest import harvest_target
-from repro.core.cq import Atom, Variable
+from repro.core.cq import Atom, Variable, canonical_atoms
 from repro.core.instance import Fact
 from repro.core.schema import RelationSymbol, Schema
 from repro.datalog.ddlog import ADOM, GOAL, DisjunctiveDatalogProgram, Rule
+from repro.obs import telemetry
+from repro.omq.certain import compile_to_mddlog
 from repro.planner.plan import plan_program
 from repro.planner.policy import PlanPolicy
 from repro.service.session import ObdaSession
 from repro.service.shards import ShardedObdaSession
+from repro.workloads.medical import (
+    example_2_1_omq,
+    example_2_2_q1_omq,
+    example_2_2_q2_omq,
+    example_4_5_omq,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -355,6 +367,285 @@ def test_md006_past_the_pairwise_limit_reports_a_renamed_duplicate(first, second
     [diagnostic] = analyse(program).by_code("MD006")
     assert diagnostic.rule_index == 301
     assert diagnostic.message.startswith("rule duplicates rule 300")
+
+
+# ---------------------------------------------------------------------------
+# The shared rule pass against per-rule reference code: each reference below
+# walks every rule, as the checks did before they read the rule keys and
+# pattern facts of ProgramContext.
+# ---------------------------------------------------------------------------
+
+
+def reference_arity(ctx):
+    seen = {}
+    for index, rule in ctx.rules():
+        for atom in itertools.chain(rule.head, rule.body):
+            seen.setdefault(atom.relation.name, {}).setdefault(
+                atom.relation.arity, f"rule {index}"
+            )
+    seen.setdefault(ctx.program.goal_relation.name, {}).setdefault(
+        ctx.program.goal_relation.arity, "goal"
+    )
+    for schema, where in (
+        (ctx.edb_schema, "declared data schema"),
+        (ctx.instance_schema, "instance"),
+    ):
+        for symbol in schema or ():
+            seen.setdefault(symbol.name, {}).setdefault(symbol.arity, where)
+    for name, arities in sorted(seen.items()):
+        if name == ADOM and list(arities) != [1]:
+            wrong = ", ".join(
+                f"{arity} ({where})"
+                for arity, where in sorted(arities.items())
+                if arity != 1
+            )
+            yield Diagnostic(
+                "MD001",
+                "error",
+                f"built-in relation {name} must have arity 1, used with arity {wrong}",
+                subject=name,
+                suggestion=f"{ADOM} is the unary active-domain relation",
+            )
+        elif name != ADOM and len(arities) > 1:
+            uses = ", ".join(
+                f"{arity} ({where})" for arity, where in sorted(arities.items())
+            )
+            yield Diagnostic(
+                "MD001",
+                "error",
+                f"relation {name} is used with conflicting arities: {uses}",
+                subject=name,
+                suggestion="rename one of the relations or fix the argument list",
+            )
+
+
+def reference_safety(ctx):
+    for index, rule in ctx.rules():
+        if not rule.body:
+            yield Diagnostic(
+                "MD002",
+                "error",
+                "rule body is empty; facts belong in the instance, not the program",
+                rule_index=index,
+                rule=str(rule),
+                suggestion="assert the head as EDB facts instead",
+            )
+            continue
+        body_vars = {v for atom in rule.body for v in atom.variables}
+        unsafe = sorted(
+            {v for atom in rule.head for v in atom.variables if v not in body_vars},
+            key=str,
+        )
+        for variable in unsafe:
+            yield Diagnostic(
+                "MD002",
+                "error",
+                f"head variable {variable} is not bound by any positive body atom",
+                rule_index=index,
+                rule=str(rule),
+                subject=str(variable),
+                suggestion=f"add a body atom over {variable} "
+                f"(adom({variable}) bounds it to the active domain)",
+            )
+
+
+def reference_md006_key(rule):
+    numbering = {}
+    return (
+        canonical_atoms(sorted(rule.head, key=checks._atom_order), numbering),
+        canonical_atoms(sorted(rule.body, key=checks._atom_order), numbering),
+    )
+
+
+def reference_subsumption(ctx):
+    if len(ctx.program.rules) <= checks.MAX_SUBSUMPTION_RULES:
+        yield from checks.check_subsumed_rules(ctx)  # the pairwise stage
+        return
+    seen = {}
+    for index, rule in ctx.rules():
+        key = reference_md006_key(rule)
+        if key in seen:
+            yield checks._subsumption_diagnostic(ctx, index, seen[key], "duplicates")
+        else:
+            seen[key] = index
+
+
+def reference_singleton_constants(ctx):
+    occurrences = {}
+    for index, rule in ctx.rules():
+        for atom in itertools.chain(rule.head, rule.body):
+            for term in atom.arguments:
+                if not isinstance(term, Variable):
+                    occurrences.setdefault(term, []).append((index, rule))
+    for constant, where in sorted(occurrences.items(), key=lambda kv: repr(kv[0])):
+        if len(where) == 1:
+            index, rule = where[0]
+            yield Diagnostic(
+                "MD007",
+                "warning",
+                f"constant {constant!r} occurs exactly once in the program",
+                rule_index=index,
+                rule=str(rule),
+                subject=repr(constant),
+                suggestion="check the spelling against the instance's constants",
+            )
+
+
+def reference_shardability(program):
+    for symbol in sorted(program.idb_relations):
+        if symbol.arity == 0 and symbol.name != GOAL:
+            yield Diagnostic(
+                "MD103",
+                "info",
+                f"nullary IDB relation {symbol} is shared across shards",
+                subject=symbol.name,
+                suggestion="parameterize the relation by a data element, "
+                "or serve the workload unsharded",
+            )
+    for index, rule in enumerate(program.rules):
+        if not rule.is_connected():
+            yield Diagnostic(
+                "MD101",
+                "info",
+                f"rule body is not connected: {rule}",
+                rule_index=index,
+                rule=str(rule),
+                suggestion="split the rule through an intermediate IDB "
+                "relation joining the components, or serve unsharded",
+            )
+        for atom in itertools.chain(rule.head, rule.body):
+            for term in atom.arguments:
+                if not isinstance(term, Variable):
+                    yield Diagnostic(
+                        "MD102",
+                        "info",
+                        f"constant {term!r} in rule: {rule}",
+                        rule_index=index,
+                        rule=str(rule),
+                        subject=repr(term),
+                        suggestion="lift the constant into a unary EDB "
+                        "relation, or serve unsharded",
+                    )
+
+
+REFERENCE_CHECKS = {
+    checks.check_arity_consistency: reference_arity,
+    checks.check_safety: reference_safety,
+    checks.check_subsumed_rules: reference_subsumption,
+    checks.check_singleton_constants: reference_singleton_constants,
+    checks.check_shardability: lambda ctx: reference_shardability(ctx.program),
+}
+
+
+def reference_report(program: DisjunctiveDatalogProgram) -> dict:
+    context = ProgramContext(program)
+    found = []
+    for check in checks._CHECKS:
+        found.extend(REFERENCE_CHECKS.get(check, check)(context))
+    return DiagnosticReport(tuple(found)).describe()
+
+
+w = Variable("w")
+T = RelationSymbol("T", 3)
+A2 = RelationSymbol("A", 2)  # clashes with A/1 (MD001)
+PAIR = RelationSymbol("P", 2)
+TERMS = (x, y, z, w, "a", "b", 0, _Tag(1), _Tag(2))
+BODY_RELATIONS = (A, B, E, R, T, A2, Q)
+HEAD_RELATIONS = (Q, PAIR, P, RelationSymbol("flag", 0))
+
+
+def atoms_over(relations):
+    return st.sampled_from(relations).flatmap(
+        lambda relation: st.tuples(
+            *(st.sampled_from(TERMS) for _ in range(relation.arity))
+        ).map(lambda arguments: Atom(relation, arguments))
+    )
+
+
+@st.composite
+def rule_lists(draw):
+    """Rules built past the constructor (unsafe, empty-bodied or not), with
+    renamed duplicates and duplicates whose bodies are permuted."""
+    rules = [
+        unsafe_rule(
+            tuple(draw(st.lists(atoms_over(HEAD_RELATIONS), max_size=2))),
+            tuple(draw(st.lists(atoms_over(BODY_RELATIONS), max_size=3))),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        rule = draw(st.sampled_from(rules))
+        renaming = dict(zip((x, y, z, w), draw(st.permutations((x, y, z, w)))))
+        body = draw(st.permutations(rule.body))
+        rules.append(
+            unsafe_rule(
+                tuple(atom.substitute(renaming) for atom in rule.head),
+                tuple(atom.substitute(renaming) for atom in body),
+            )
+        )
+    return rules
+
+
+@settings(max_examples=60, deadline=None)
+@given(rules=rule_lists(), past_pairwise_limit=st.booleans())
+@example(  # one body pattern, a safe head and then an unsafe one
+    rules=[
+        Rule((Atom(Q, (x,)),), (Atom(A, (x,)),)),
+        unsafe_rule((Atom(PAIR, (x, y)),), (Atom(B, (x,)),)),
+    ],
+    past_pairwise_limit=False,
+)
+@example(  # a constant, and a variable in its place
+    rules=[
+        Rule((Atom(Q, (x,)),), (Atom(E, (x, "a")),)),
+        Rule((Atom(Q, (x,)),), (Atom(E, (x, y)),)),
+    ],
+    past_pairwise_limit=True,
+)
+@example(  # the same relations over different patterns
+    rules=[
+        Rule((Atom(Q, (x,)),), (Atom(E, (x, y)),)),
+        Rule((Atom(Q, (x,)),), (Atom(E, (x, x)),)),
+    ],
+    past_pairwise_limit=True,
+)
+def test_shared_rule_pass_matches_per_rule_reference(rules, past_pairwise_limit):
+    program = (
+        _past_pairwise_limit(*rules)
+        if past_pairwise_limit
+        else DisjunctiveDatalogProgram(rules)
+    )
+    assert analyse(program).describe() == reference_report(program)
+    assert list(shardability_diagnostics(program)) == list(
+        reference_shardability(program)
+    )
+
+
+TABLE_1 = {
+    "example_2_1": example_2_1_omq,
+    "example_2_2_q1": example_2_2_q1_omq,
+    "example_2_2_q2": example_2_2_q2_omq,
+    "example_4_5": example_4_5_omq,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_1))
+def test_shared_rule_pass_matches_reference_on_table_1(name):
+    program = compile_to_mddlog(TABLE_1[name]())
+    assert analyse(program).describe() == reference_report(program)
+    assert list(shardability_diagnostics(program)) == list(
+        reference_shardability(program)
+    )
+
+
+def test_compiled_example_2_1_is_vetted_per_pattern():
+    """7,698 rules, a handful of argument patterns: the analyzer computes
+    pattern facts per pattern, not per rule."""
+    program = compile_to_mddlog(example_2_1_omq())
+    with telemetry.enabled() as tel:
+        analyse(program)
+    assert tel.counter("analysis.rules") == 7_698
+    assert 1 <= tel.counter("analysis.rule_patterns") <= 10
 
 
 def test_severity_views_and_merge():

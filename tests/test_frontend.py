@@ -583,6 +583,12 @@ def test_program_identity_key_canonicalizes_structure():
     assert program_identity_key(with_constant(Marker(1))) != (
         program_identity_key(with_constant(Marker(2)))
     )
+    # ... and rule order still does not matter when the rules' constants
+    # share a repr
+    one, two = (with_constant(Marker(tag)).rules[0] for tag in (1, 2))
+    assert program_identity_key(
+        DisjunctiveDatalogProgram((one, two))
+    ) == program_identity_key(DisjunctiveDatalogProgram((two, one)))
 
 
 def test_plan_cache_lru_eviction_clears_artifacts():
